@@ -108,6 +108,11 @@ def make_params(n: int, L: int, M: int, sigma2: float, D: float,
         raise ValueError(f"need n >= 1 and L >= 1, got n={n}, L={L}")
     if M < 2:
         raise ValueError(f"need M >= 2, got M={M}")
+    given = (sigma2, D) if rho2 is None else (sigma2, D, rho2)
+    if not all(math.isfinite(v) for v in given):
+        raise ValueError(
+            f"sigma2, D and rho2 must be finite, got sigma2={sigma2}, D={D}, "
+            f"rho2={rho2}")
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     if not 0 < D < sigma2:

@@ -7,16 +7,31 @@ The encoder first applies the two gates: a source with per-sample power
 the global argmin of ||s - A beta|| is returned, ties broken by smallest
 mixed-radix rank.
 
-The production search visits candidates in increasing rank and batches the
-distance evaluations: the first k sections are expanded into a block of
-M^k precomputed column sums, the remaining sections into outer partial
-residuals, and each outer chunk is scored against the whole inner block
-with one matrix product. A plain per-candidate oracle with fresh codeword
-synthesis (encode_oracle) cross-validates it in tests.
+Every codeword is scored by one exact scorer, _exact_sq: the squared norm
+of source - synthesize(beta), with the codeword accumulated in section
+order. The search finds its argmin in two steps:
+
+1. A tiled kernel. The first k sections are expanded into an inner block
+   of M^k column sums x, the remaining sections into outer residuals
+   r = s - c * outer. The inner block is augmented with the row c^2 |x|^2
+   below -2c x, the residuals with a column of ones, so one matrix product
+   per row tile of residuals gives c^2 |x|^2 - 2c r.x for every candidate
+   of the tile. Tiles are sized to stay in L2; each row's minimum is taken
+   in place and |r|^2 is added to the row minima only.
+2. An exact rescore of near-ties. Kernel values differ from _exact_sq by
+   at most a rigorous rounding bound tol (_kernel_tol), so every exact
+   minimum lies within 2 tol of the kernel minimum. The candidates inside
+   that window are rescored with _exact_sq and the smallest rank among
+   the exact minima wins. The result therefore does not depend on the
+   kernel's rounding, tile size or thread count.
+
+A plain per-candidate oracle with the same scorer (encode_oracle)
+cross-validates it in tests.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,6 +58,16 @@ STATUS_OK = "ok"
 STATUS_VARIANCE_OVERFLOW = "variance_overflow"
 STATUS_TRIVIAL_ZERO = "trivial_zero"
 
+# Inner sections are expanded while the inner block stays this narrow, so
+# the augmented block and one tile of kernel values fit in L2 together.
+# At least one section stays outer: the inner block costs n * M^k to build
+# and to augment, which must stay small against the scan's (n + 1) * M^L.
+_INNER_COLS = 4096
+# Bytes of kernel values per row tile: small enough that a tile, the
+# augmented block and the residual rows stay in L2 (2 MiB per core on the
+# machine this was tuned on, where 256 KiB measured fastest).
+_TILE_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class EncodeResult:
@@ -68,6 +93,8 @@ def _check_source(matrix: DesignMatrix, source) -> np.ndarray:
         raise ValueError(
             f"source shape {source.shape} does not match block length "
             f"({matrix.params.n},)")
+    if not np.isfinite(source).all():
+        raise ValueError("source holds non-finite samples")
     return source
 
 
@@ -83,86 +110,115 @@ def _gate(matrix: DesignMatrix, source: np.ndarray,
     return D, None
 
 
-def _inner_block(matrix: DesignMatrix, k: int) -> np.ndarray:
-    """Column sums over sections 0..k-1, one column per inner rank.
+def _exact_sq(matrix: DesignMatrix, source: np.ndarray, rank: int) -> float:
+    """||source - codeword(rank)||^2 with the codeword freshly synthesized:
+    the one scorer behind the search's decision, the oracle and the
+    reported distortion."""
+    p = matrix.params
+    e = source - synthesize(matrix, beta_unrank(rank, p.L, p.M))
+    return float(e @ e)
 
-    Column index equals the mixed-radix rank of the first k sections
-    (section 0 least significant)."""
+
+def _section_sums(matrix: DesignMatrix, lo: int, hi: int) -> np.ndarray:
+    """Column sums over sections lo..hi-1, one column per rank of those
+    sections (section lo least significant). Each sum adds its sections in
+    increasing order, as synthesize does."""
     M = matrix.params.M
-    block = matrix.section(0)
-    for l in range(1, k):
-        # new rank = old + M^l * idx_l -> idx_l varies along the slower axis
+    block = matrix.section(lo)
+    for l in range(lo + 1, hi):
+        # new rank = old + M^(l-lo) * idx_l -> idx_l varies along the slower axis
         n, width = block.shape
         block = (matrix.section(l)[:, :, None] + block[:, None, :]) \
             .reshape(n, M * width)
     return block
 
 
-def _search_chunk(resid: np.ndarray, inner: np.ndarray, inner_sq: np.ndarray,
-                  c: float, rank_base: int) -> Tuple[float, int]:
-    """Best (squared distance, rank) over resid rows x inner columns.
+def _kernel_tol(matrix: DesignMatrix, source: np.ndarray) -> float:
+    """Uniform bound on |kernel value - _exact_sq| over all codewords.
 
-    resid rows are `source - c * outer_sum` for consecutive outer ranks
-    starting at rank_base / inner_count; distances come from the expansion
-    ||r - c x||^2 = ||r||^2 - 2 c r.x + c^2 ||x||^2."""
-    width = inner.shape[1]
-    cross = resid @ inner
-    dist = np.einsum("ij,ij->i", resid, resid)[:, None]
-    dist = dist - (2.0 * c) * cross
-    dist += (c * c) * inner_sq[None, :]
-    flat = int(np.argmin(dist))  # first hit = smallest rank on ties
-    return float(dist.flat[flat]), rank_base + flat
+    Every codeword error s - c sum_l a_l has norm at most
+    Lam = ||s|| + c sum_l max_j ||a_lj|| (Cauchy-Schwarz bounds every dot
+    product by norms). With unit roundoff u, the section sums, scalings
+    and subtractions of either evaluation move the error vector by at most
+    (L + 1) u Lam, the length-(n + 1) augmented product, its |x|^2 row and
+    the added |r|^2 cost (3n + 5) u Lam^2, and the scorer's dot product
+    n u Lam^2: (4n + 4L + 9) u Lam^2 to first order. The returned bound is
+    four times that, which covers the higher-order terms and the rounding
+    of Lam and of the rescore limit."""
+    p = matrix.params
+    col_norms = np.sqrt(np.einsum("ij,ij->j", matrix.entries, matrix.entries))
+    lam = math.sqrt(float(source @ source)) \
+        + p.c * float(col_norms.reshape(p.L, p.M).max(axis=1).sum())
+    u = np.finfo(float).eps / 2.0
+    return 4.0 * (4 * (p.n + p.L) + 9) * u * lam * lam
+
+
+def _scan_rows(resid: np.ndarray, aug: np.ndarray, rowmin: np.ndarray,
+               lo: int, hi: int) -> None:
+    """rowmin[i] = min over columns of resid[i] @ aug for lo <= i < hi,
+    one L2-sized row tile at a time."""
+    width = aug.shape[1]
+    step = max(1, _TILE_BYTES // (8 * width))
+    buf = np.empty((min(step, hi - lo), width))
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        tile = buf[:stop - start]
+        np.matmul(resid[start:stop], aug, out=tile)
+        np.minimum.reduce(tile, axis=1, out=rowmin[start:stop])
 
 
 def _search_min(matrix: DesignMatrix, source: np.ndarray,
-                inner_cols: int = 4096, chunk_rows: int = 2048,
                 n_threads: Optional[int] = None) -> Tuple[int, float]:
-    """Rank of the distance-minimizing codeword and the kernel's value of
-    the minimal squared distance (unnormalized). Deterministic: candidates
-    are ordered by rank and reduction keeps the smallest rank on ties."""
+    """Rank of the distance-minimizing codeword (smallest rank on ties)
+    and its exact squared distance _exact_sq (unnormalized)."""
     p = matrix.params
     n, L, M, c = p.n, p.L, p.M, p.c
 
     k = 1
-    while k < L and M ** (k + 1) <= inner_cols:
+    while k + 1 < L and M ** (k + 1) <= _INNER_COLS:
         k += 1
-    inner = _inner_block(matrix, k)
-    inner_sq = np.einsum("ij,ij->j", inner, inner)
-    inner_count = inner.shape[1]
+    inner = _section_sums(matrix, 0, k)
+    width = inner.shape[1]
+    aug = np.empty((n + 1, width))
+    np.multiply(inner, -2.0 * c, out=aug[:n])
+    aug[n] = (c * c) * np.einsum("ij,ij->j", inner, inner)
 
-    if k == L:
-        outer = np.zeros((1, n))
-    else:
-        # outer ranks over sections k..L-1, transposed to rows
-        block = matrix.section(k)
-        for l in range(k + 1, L):
-            nn, width = block.shape
-            block = (matrix.section(l)[:, :, None] + block[:, None, :]) \
-                .reshape(nn, M * width)
-        outer = block.T
+    # outer ranks over sections k..L-1 as rows; rank = row * width + column
+    outer = np.zeros((1, n)) if k == L else _section_sums(matrix, k, L).T
+    rows = outer.shape[0]
+    resid = np.empty((rows, n + 1))
+    np.subtract(source, c * outer, out=resid[:, :n])
+    resid[:, n] = 1.0
+    resid_sq = np.einsum("ij,ij->i", resid[:, :n], resid[:, :n])
 
-    resid_full = source[None, :] - c * outer
-    chunks = [
-        (resid_full[start:start + chunk_rows], start * inner_count)
-        for start in range(0, resid_full.shape[0], chunk_rows)
-    ]
+    tol = _kernel_tol(matrix, source)
+    if not math.isfinite(tol):
+        raise ValueError("design matrix holds non-finite entries")
+
     if n_threads is None:
         n_threads = int(os.environ.get("SPARCOMP_THREADS", "1"))
-
-    if n_threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(
-                lambda args: _search_chunk(args[0], inner, inner_sq, c, args[1]),
-                chunks))
+    rowmin = np.empty(rows)
+    parts = min(max(n_threads, 1), rows)
+    bounds = [rows * t // parts for t in range(parts + 1)]
+    if parts > 1:
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            list(pool.map(lambda t: _scan_rows(resid, aug, rowmin, bounds[t],
+                                               bounds[t + 1]), range(parts)))
     else:
-        results = [_search_chunk(resid, inner, inner_sq, c, base)
-                   for resid, base in chunks]
+        _scan_rows(resid, aug, rowmin, 0, rows)
+    rowmin += resid_sq
 
-    best_val, best_rank = results[0]
-    for val, rank in results[1:]:
-        if val < best_val or (val == best_val and rank < best_rank):
-            best_val, best_rank = val, rank
-    return best_rank, best_val
+    limit = float(rowmin.min()) + 2.0 * tol
+    best_rank, best = -1, math.inf
+    # rows, then columns, ascending: ranks are visited in increasing order
+    for i in np.flatnonzero(rowmin <= limit):
+        values = resid[i] @ aug + resid_sq[i]
+        for j in np.flatnonzero(values <= limit):
+            rank = int(i) * width + int(j)
+            d = _exact_sq(matrix, source, rank)
+            if d < best:
+                best_rank, best = rank, d
+    return best_rank, best
 
 
 def encode_min_distance(matrix: DesignMatrix, source, D: Optional[float] = None,
@@ -170,9 +226,8 @@ def encode_min_distance(matrix: DesignMatrix, source, D: Optional[float] = None,
                         n_threads: Optional[int] = None) -> EncodeResult:
     """Encode one source block: gates first, then the exhaustive search.
 
-    The reported distortion is recomputed fresh at the argmin (the batched
-    kernel's value is only used for ordering), so accumulation drift in the
-    search cannot leak into the result.
+    The reported distortion is the exact scorer's value at the argmin,
+    so kernel rounding cannot leak into the result.
     """
     source = _check_source(matrix, source)
     p = matrix.params
@@ -182,16 +237,14 @@ def encode_min_distance(matrix: DesignMatrix, source, D: Optional[float] = None,
     D, gated = _gate(matrix, source, D)
     if gated is not None:
         return gated
-    rank, _ = _search_min(matrix, source, n_threads=n_threads)
-    beta = beta_unrank(rank, p.L, p.M)
-    err = source - synthesize(matrix, beta)
-    return EncodeResult(STATUS_OK, beta, sample_power(err))
+    rank, sq = _search_min(matrix, source, n_threads=n_threads)
+    return EncodeResult(STATUS_OK, beta_unrank(rank, p.L, p.M), sq / p.n)
 
 
 def encode_oracle(matrix: DesignMatrix, source,
                   D: Optional[float] = None) -> EncodeResult:
-    """Same contract as encode_min_distance, by materializing every
-    codeword with fresh synthesis and scanning. Test oracle only."""
+    """Same contract as encode_min_distance, by scoring every codeword
+    with the exact scorer in rank order. Test oracle only."""
     source = _check_source(matrix, source)
     p = matrix.params
     if p.n_codewords > ORACLE_CAP:
@@ -202,8 +255,7 @@ def encode_oracle(matrix: DesignMatrix, source,
         return gated
     best_rank, best = 0, np.inf
     for rank in range(p.n_codewords):
-        cw = synthesize(matrix, beta_unrank(rank, p.L, p.M))
-        d = float(np.sum((source - cw) ** 2))
+        d = _exact_sq(matrix, source, rank)
         if d < best:
             best_rank, best = rank, d
     return EncodeResult(STATUS_OK, beta_unrank(best_rank, p.L, p.M), best / p.n)
@@ -216,7 +268,7 @@ def all_distortions(matrix: DesignMatrix, source) -> np.ndarray:
     if p.n_codewords > ORACLE_CAP:
         raise ValueError(
             f"codebook holds {p.n_codewords} candidates > cap {ORACLE_CAP}")
-    block = _inner_block(matrix, p.L)  # n x M^L column sums
+    block = _section_sums(matrix, 0, p.L)  # n x M^L column sums
     resid = source[:, None] - p.c * block
     return np.einsum("ij,ij->j", resid, resid) / p.n
 

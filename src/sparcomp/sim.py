@@ -86,8 +86,10 @@ class SourceModel:
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}; "
                              f"expected one of {SOURCE_KINDS}")
-        if self.sigma2 <= 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         if self.kind == "gauss_markov" and not -1.0 < self.phi < 1.0:
             raise ValueError(f"AR(1) coefficient must lie in (-1,1), got {self.phi}")
 
@@ -439,7 +441,7 @@ def validate_bounds(params: SparcParams, z2: float, n_matrices: int,
         matrix = build_design_matrix(
             replace(params, seed=_derive_u64(seed, MATRIX_STREAM, i)))
         dists = all_distortions(matrix, source)
-        if not np.any(dists < params.D):
+        if not np.any(dists <= params.D):
             events += 1
     p_emp = events / n_matrices
     se_emp = math.sqrt(p_emp * (1.0 - p_emp) / n_matrices)

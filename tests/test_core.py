@@ -60,6 +60,18 @@ def test_make_params_validation():
         make_params(8, 3, 4, 1.0, 0.5, seed=-1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"sigma2": math.inf}, {"sigma2": math.nan}, {"D": math.nan},
+    {"D": math.inf}, {"rho2": math.inf}, {"rho2": math.nan},
+])
+def test_make_params_rejects_non_finite_before_rate_check(kwargs):
+    args = {"sigma2": 1.0, "D": 0.5, "rho2": 1.5, "allow_low_rate": True}
+    args.update(kwargs)
+    with pytest.raises(ValueError, match="finite") as err:
+        make_params(8, 3, 4, **args)
+    assert not isinstance(err.value, LowRateError)
+
+
 def test_params_frozen():
     p = make_params(8, 3, 4, 1.0, 0.5, seed=42)
     with pytest.raises(AttributeError):

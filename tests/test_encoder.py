@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparcomp import encoder
 from sparcomp.core import (
     BetaVector, DesignMatrix, beta_unrank, build_design_matrix, make_params,
     synthesize,
@@ -69,6 +70,16 @@ def test_source_shape_checked(inst):
     _, mt = inst
     with pytest.raises(ValueError):
         encode_min_distance(mt, np.zeros(7))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_source_rejected(inst, bad):
+    p, mt = inst
+    source = np.full(p.n, 0.8)
+    source[3] = bad
+    for encode in (encode_min_distance, encode_oracle):
+        with pytest.raises(ValueError, match="non-finite"):
+            encode(mt, source)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +173,56 @@ def test_exact_ties_break_to_smallest_rank():
     res = encode_min_distance(mt, source)
     assert res.status == STATUS_OK
     assert res.beta == BetaVector((0, 0, 0))
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(0, 63),
+       st.integers(0, 63))
+@settings(max_examples=150, deadline=None)
+def test_midpoint_ties_match_oracle(seed, r1, r2):
+    # a source halfway between two codewords is at equal exact distance
+    # from both; only the exact scorer, not kernel rounding, may decide
+    p = make_params(6, 3, 4, 1.0, 0.5, seed=seed)
+    mt = build_design_matrix(p)
+    source = 0.5 * (synthesize(mt, beta_unrank(r1, p.L, p.M))
+                    + synthesize(mt, beta_unrank(r2, p.L, p.M)))
+    fast = encode_min_distance(mt, source, D=0.0)
+    slow = encode_oracle(mt, source, D=0.0)
+    assert fast.beta == slow.beta
+    assert fast.distortion == slow.distortion
+
+
+@given(st.integers(min_value=0, max_value=2**32),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_duplicated_columns_match_oracle(seed, copies):
+    # copied columns make whole families of codewords exactly equal, so
+    # the exact minimum is shared and must go to the smallest rank
+    p = make_params(6, 3, 4, 1.0, 0.5, seed=seed)
+    entries = build_design_matrix(p).entries.copy()
+    for src, dst in copies:
+        entries[:, dst] = entries[:, src]
+    mt = DesignMatrix(p, entries)
+    source = _scaled_source(_rng(seed), p)
+    fast = encode_min_distance(mt, source)
+    slow = encode_oracle(mt, source)
+    assert fast.beta == slow.beta
+    assert fast.distortion == slow.distortion
+
+
+@pytest.mark.parametrize("n_threads", [1, 3])
+def test_tiled_search_matches_oracle_across_tiles(monkeypatch, n_threads):
+    # a one-section inner block and two-row tiles make the (8, 3, 4)
+    # search span 8 tiles, split over threads when n_threads > 1
+    monkeypatch.setattr(encoder, "_INNER_COLS", 4)
+    monkeypatch.setattr(encoder, "_TILE_BYTES", 2 * 4 * 8)
+    rng = _rng(101)
+    for trial in range(40):
+        p = make_params(8, 3, 4, 1.0, 0.5, seed=300 + trial)
+        mt = build_design_matrix(p)
+        source = _scaled_source(rng, p)
+        fast = encode_min_distance(mt, source, n_threads=n_threads)
+        assert fast == encode_oracle(mt, source)
 
 
 def test_parallel_search_matches_serial(inst):

@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import beta as beta_dist
 
 import sparcomp as sp
-from sparcomp.core import build_design_matrix, make_params
+from sparcomp.core import DesignMatrix, build_design_matrix, make_params
 from sparcomp.encoder import STATUS_OK, encode_oracle, sample_power
 from sparcomp.sim import (
     MATRIX_STREAM, SOURCE_STREAM, SourceModel, _derive_u64, _seed_seq,
@@ -31,6 +31,15 @@ GAUSS = SourceModel("gaussian_iid", 1.0)
 # ---------------------------------------------------------------------------
 # source models
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sigma2, phi", [
+    (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf),
+])
+def test_source_model_rejects_non_finite(sigma2, phi):
+    for kind in ("gaussian_iid", "gauss_markov"):
+        with pytest.raises(ValueError, match="finite"):
+            SourceModel(kind, sigma2, phi)
+
 
 def test_source_model_validation():
     with pytest.raises(ValueError):
@@ -246,6 +255,17 @@ def test_validate_bounds_tiny_instance(tiny):
     assert check.within_second_moment and check.within_suen
     assert check.second_moment_slack >= -3.0 * check.empirical_se
     assert check.suen_slack >= -3.0 * check.empirical_se
+
+
+def test_validate_bounds_counts_distortion_equal_to_D_as_covered(monkeypatch):
+    # an all-zero design puts every codeword at distortion exactly
+    # z2 = D = 0.25, which covers the source under the rule distortion <= D
+    params = make_params(12, 3, 4, 1.0, 0.25, rho2=1.5, allow_low_rate=True)
+    monkeypatch.setattr(
+        sp.sim, "build_design_matrix",
+        lambda p: DesignMatrix(p, np.zeros((p.n, p.n_columns))))
+    check = validate_bounds(params, 0.25, 5, n_prob_samples=2000, seed=1)
+    assert check.empirical_p == 0.0
 
 
 # ---------------------------------------------------------------------------
