@@ -105,8 +105,9 @@ def _params_config(args) -> dict:
     }
 
 
-def _model_from_args(kind: str, sigma2: float, phi: float) -> SourceModel:
-    return SourceModel(kind, sigma2, phi if kind == "gauss_markov" else 0.0)
+def _model_from_args(kind: str, args) -> SourceModel:
+    sigma2 = args.sigma2 if args.model_sigma2 is None else args.model_sigma2
+    return SourceModel(kind, sigma2, args.phi if kind == "gauss_markov" else 0.0)
 
 
 def _rate_disp(x: float, bits: bool) -> float:
@@ -253,7 +254,7 @@ def _trial_log_document(config: dict, report) -> str:
 
 def cmd_simulate(args) -> int:
     params = _params_from_args(args)
-    model = _model_from_args(args.model, args.model_sigma2 or args.sigma2, args.phi)
+    model = _model_from_args(args.model, args)
     config = {
         "subcommand": "simulate", **_params_config(args),
         "model": model.label, "model_sigma2": model.sigma2,
@@ -262,8 +263,7 @@ def cmd_simulate(args) -> int:
     }
     t_start = time.perf_counter()
     report = sim.run_experiment(params, model, args.trials, seed=args.seed,
-                                fresh_matrix=not args.fixed_matrix,
-                                n_threads=args.threads)
+                                fresh_matrix=not args.fixed_matrix)
     wall = time.perf_counter() - t_start
     _emit(_json_document(config, {"report": report.to_dict()}), args.out)
     if args.trial_log:
@@ -276,16 +276,14 @@ def cmd_simulate(args) -> int:
 def cmd_robustness(args) -> int:
     params = _params_from_args(args)
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
-    models = [_model_from_args(k, args.model_sigma2 or args.sigma2, args.phi)
-              for k in kinds]
+    models = [_model_from_args(k, args) for k in kinds]
     config = {
         "subcommand": "robustness", **_params_config(args),
         "models": [m.label for m in models], "trials": args.trials,
         "check": args.check, "seed": args.seed,
     }
     t_start = time.perf_counter()
-    result = sim.robustness_suite(params, models, args.trials, seed=args.seed,
-                                  n_threads=args.threads)
+    result = sim.robustness_suite(params, models, args.trials, seed=args.seed)
     payload = {
         "baseline": result.baseline,
         "reports": {k: rep.to_dict() for k, rep in result.reports.items()},
@@ -316,7 +314,7 @@ def cmd_exponent_trend(args) -> int:
         sizes.append(tuple(int(v) for v in bits))
     family = [make_params(n, L, M, args.sigma2, args.D, rho2=args.rho2,
                           seed=args.seed) for (n, L, M) in sizes]
-    model = _model_from_args(args.model, args.model_sigma2 or args.sigma2, args.phi)
+    model = _model_from_args(args.model, args)
     config = {
         "subcommand": "exponent-trend", "sizes": [list(s) for s in sizes],
         "sigma2": args.sigma2, "D": args.D, "rho2": args.rho2,
@@ -324,8 +322,7 @@ def cmd_exponent_trend(args) -> int:
         "seed": args.seed,
     }
     t_start = time.perf_counter()
-    trend = sim.exponent_trend(family, model, args.trials, seed=args.seed,
-                               n_threads=args.threads)
+    trend = sim.exponent_trend(family, model, args.trials, seed=args.seed)
     payload = {
         "entries": [
             {"n": e.n, "L": e.L, "M": e.M, "n_trials": e.n_trials,
@@ -360,20 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"sparcomp {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sub, fmt_default):
+    def common(sub):
         sub.add_argument("--config", type=str, default=None,
                          help="JSON file of option values; explicit flags win")
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--out", type=str, default=None,
                          help="output path (default: stdout)")
-        sub.add_argument("--format", choices=("csv", "json"), default=fmt_default,
-                         help="output format (informational; each subcommand "
-                              "has one native format)")
-        sub.add_argument("--threads", type=int, default=None,
-                         help="search threads (default: env SPARCOMP_THREADS or 1)")
 
     p = subs.add_parser("curve", help="rate curves vs distortion ratio")
-    common(p, "csv")
+    common(p)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--d-min", type=float, default=0.005)
     p.add_argument("--d-max", type=float, default=0.995)
@@ -383,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = subs.add_parser("bounds", help="rate function and finite-size bounds on a z2 grid")
-    common(p, "csv")
+    common(p)
     _add_params_flags(p)
     p.add_argument("--z2", type=str, default=None,
                    help="comma-separated z2 grid (default: interior grid)")
@@ -392,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = subs.add_parser("suen", help="correlation-inequality and second-moment bounds")
-    common(p, "csv")
+    common(p)
     _add_params_flags(p)
     p.add_argument("--z2", type=float, required=True)
     p.add_argument("--samples", type=int, default=200_000,
@@ -404,27 +396,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_suen)
 
     def sim_common(sub):
-        sub.add_argument("--model", choices=sim.SOURCE_KINDS, default="gaussian_iid")
         sub.add_argument("--model-sigma2", type=float, default=None,
                          help="source variance (default: codebook sigma2)")
         sub.add_argument("--phi", type=float, default=0.0,
                          help="AR(1) coefficient for gauss_markov")
         sub.add_argument("--trials", type=int, default=500)
-        sub.add_argument("--trial-log", type=str, default=None,
-                         help="write per-trial CSV log to this path")
 
     p = subs.add_parser("simulate", help="Monte Carlo error-probability experiment")
-    common(p, "json")
+    common(p)
     _add_params_flags(p)
     sim_common(p)
+    p.add_argument("--model", choices=sim.SOURCE_KINDS, default="gaussian_iid")
+    p.add_argument("--trial-log", type=str, default=None,
+                   help="write per-trial CSV log to this path")
     p.add_argument("--fixed-matrix", action="store_true",
                    help="reuse one matrix for all trials instead of redrawing")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("robustness", help="conditional success across source models")
-    common(p, "json")
+    common(p)
     _add_params_flags(p)
     sim_common(p)
+    p.add_argument("--trial-log", type=str, default=None,
+                   help="write per-model trial CSV logs to PATH.<model>.csv")
     p.add_argument("--models", type=str,
                    default="gaussian_iid,laplace_iid,uniform_iid,gauss_markov")
     p.add_argument("--check", action="store_true",
@@ -432,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_robustness)
 
     p = subs.add_parser("exponent-trend", help="error exponent estimates across sizes")
-    common(p, "json")
+    common(p)
     sim_common(p)
+    p.add_argument("--model", choices=sim.SOURCE_KINDS, default="gaussian_iid")
     p.add_argument("--sizes", type=str, required=True,
                    help="comma-separated n:L:M family sharing (R, D)")
     p.add_argument("--sigma2", type=float, default=1.0)
@@ -459,6 +454,8 @@ def _config_file_flags(path: str) -> List[str]:
             continue
         flag = "--" + key.replace("_", "-")
         value = values[key]
+        if value is None:
+            continue    # JSON null: the flag's default, as artifacts record it
         if isinstance(value, bool):
             if value:
                 flags.append(flag)

@@ -311,13 +311,13 @@ class DesignMatrix:
         return h.hexdigest()
 
 
-def build_design_matrix(params: SparcParams,
-                        max_entries: int = MAX_MATRIX_ENTRIES) -> DesignMatrix:
+def build_design_matrix(params: SparcParams) -> DesignMatrix:
     """Generate the dictionary for params: i.i.d N(0,1) entries in
     column-major order from the documented seeded stream."""
     total = params.n * params.n_columns
-    if total > max_entries:
-        raise ValueError(f"matrix would hold {total} entries > cap {max_entries}")
+    if total > MAX_MATRIX_ENTRIES:
+        raise ValueError(
+            f"matrix would hold {total} entries > cap {MAX_MATRIX_ENTRIES}")
     flat = gaussian_stream(params.seed, total)
     entries = flat.reshape((params.n, params.n_columns), order="F")
     return DesignMatrix(params, entries)

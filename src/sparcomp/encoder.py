@@ -23,7 +23,7 @@ order. The search finds its argmin in two steps:
    minimum lies within 2 tol of the kernel minimum. The candidates inside
    that window are rescored with _exact_sq and the smallest rank among
    the exact minima wins. The result therefore does not depend on the
-   kernel's rounding, tile size or thread count.
+   kernel's rounding or tile size.
 
 A plain per-candidate oracle with the same scorer (encode_oracle)
 cross-validates it in tests.
@@ -32,8 +32,6 @@ cross-validates it in tests.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -153,22 +151,21 @@ def _kernel_tol(matrix: DesignMatrix, source: np.ndarray) -> float:
     return 4.0 * (4 * (p.n + p.L) + 9) * u * lam * lam
 
 
-def _scan_rows(resid: np.ndarray, aug: np.ndarray, rowmin: np.ndarray,
-               lo: int, hi: int) -> None:
-    """rowmin[i] = min over columns of resid[i] @ aug for lo <= i < hi,
-    one L2-sized row tile at a time."""
-    width = aug.shape[1]
+def _scan_rows(resid: np.ndarray, aug: np.ndarray) -> np.ndarray:
+    """Row minima of resid @ aug, one L2-sized row tile at a time."""
+    rows, width = resid.shape[0], aug.shape[1]
+    rowmin = np.empty(rows)
     step = max(1, _TILE_BYTES // (8 * width))
-    buf = np.empty((min(step, hi - lo), width))
-    for start in range(lo, hi, step):
-        stop = min(start + step, hi)
+    buf = np.empty((min(step, rows), width))
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
         tile = buf[:stop - start]
         np.matmul(resid[start:stop], aug, out=tile)
         np.minimum.reduce(tile, axis=1, out=rowmin[start:stop])
+    return rowmin
 
 
-def _search_min(matrix: DesignMatrix, source: np.ndarray,
-                n_threads: Optional[int] = None) -> Tuple[int, float]:
+def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
     """Rank of the distance-minimizing codeword (smallest rank on ties)
     and its exact squared distance _exact_sq (unnormalized)."""
     p = matrix.params
@@ -195,17 +192,7 @@ def _search_min(matrix: DesignMatrix, source: np.ndarray,
     if not math.isfinite(tol):
         raise ValueError("design matrix holds non-finite entries")
 
-    if n_threads is None:
-        n_threads = int(os.environ.get("SPARCOMP_THREADS", "1"))
-    rowmin = np.empty(rows)
-    parts = min(max(n_threads, 1), rows)
-    bounds = [rows * t // parts for t in range(parts + 1)]
-    if parts > 1:
-        with ThreadPoolExecutor(max_workers=parts) as pool:
-            list(pool.map(lambda t: _scan_rows(resid, aug, rowmin, bounds[t],
-                                               bounds[t + 1]), range(parts)))
-    else:
-        _scan_rows(resid, aug, rowmin, 0, rows)
+    rowmin = _scan_rows(resid, aug)
     rowmin += resid_sq
 
     limit = float(rowmin.min()) + 2.0 * tol
@@ -221,9 +208,8 @@ def _search_min(matrix: DesignMatrix, source: np.ndarray,
     return best_rank, best
 
 
-def encode_min_distance(matrix: DesignMatrix, source, D: Optional[float] = None,
-                        search_cap: int = SEARCH_CAP,
-                        n_threads: Optional[int] = None) -> EncodeResult:
+def encode_min_distance(matrix: DesignMatrix, source,
+                        D: Optional[float] = None) -> EncodeResult:
     """Encode one source block: gates first, then the exhaustive search.
 
     The reported distortion is the exact scorer's value at the argmin,
@@ -231,13 +217,13 @@ def encode_min_distance(matrix: DesignMatrix, source, D: Optional[float] = None,
     """
     source = _check_source(matrix, source)
     p = matrix.params
-    if p.n_codewords > search_cap:
+    if p.n_codewords > SEARCH_CAP:
         raise ValueError(
-            f"codebook holds {p.n_codewords} candidates > search cap {search_cap}")
+            f"codebook holds {p.n_codewords} candidates > search cap {SEARCH_CAP}")
     D, gated = _gate(matrix, source, D)
     if gated is not None:
         return gated
-    rank, sq = _search_min(matrix, source, n_threads=n_threads)
+    rank, sq = _search_min(matrix, source)
     return EncodeResult(STATUS_OK, beta_unrank(rank, p.L, p.M), sq / p.n)
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.stats import beta as beta_dist
 from scipy.stats import ncx2, norm
 
@@ -56,6 +55,12 @@ SOURCE_STREAM = 2
 ESTIMATOR_STREAM = 3
 
 SOURCE_KINDS = ("gaussian_iid", "gauss_markov", "laplace_iid", "uniform_iid")
+
+# Samples per block of the coverage estimators, which bounds their memory.
+# Reported estimates depend on them too: the pair estimator alternates its
+# x and y draws per block and the tilted one sums its weights per block.
+_PU1_CHUNK = 200_000
+_PAIR_CHUNK = 100_000
 
 
 def _seed_seq(seed: int, stream: int, index: int) -> np.random.SeedSequence:
@@ -114,7 +119,11 @@ def draw_source(model: SourceModel, n: int, trial_seed) -> np.ndarray:
         # stationary start: x[0] ~ N(0, sigma2), innovations sigma2*(1-phi^2)
         v = e * (sig * math.sqrt(1.0 - phi * phi))
         v[0] = sig * e[0]
-        return lfilter([1.0], [1.0, -phi], v)
+        # AR(1): x[t] = v[t] + phi x[t-1], a serial loop, so on Python floats
+        x = v.tolist()
+        for t in range(1, n):
+            x[t] += phi * x[t - 1]
+        return np.array(x)
     if model.kind == "laplace_iid":
         return rng.laplace(0.0, sig / math.sqrt(2.0), n)
     # uniform_iid
@@ -211,8 +220,8 @@ class ExperimentReport:
 
 
 def run_experiment(params: SparcParams, model: SourceModel, n_trials: int,
-                   seed: Optional[int] = None, fresh_matrix: bool = True,
-                   n_threads: Optional[int] = None) -> ExperimentReport:
+                   seed: Optional[int] = None,
+                   fresh_matrix: bool = True) -> ExperimentReport:
     """Encode n_trials independent source blocks and tally errors.
 
     fresh_matrix=True redraws the dictionary each trial (ensemble
@@ -237,7 +246,7 @@ def run_experiment(params: SparcParams, model: SourceModel, n_trials: int,
                 replace(params, seed=_derive_u64(seed, MATRIX_STREAM, trial)))
         else:
             matrix = fixed
-        result = encode_min_distance(matrix, source, n_threads=n_threads)
+        result = encode_min_distance(matrix, source)
         if result.status == STATUS_OK:
             searched += 1
         success = (result.status != STATUS_VARIANCE_OVERFLOW
@@ -297,8 +306,7 @@ def exact_pU1(params: SparcParams, z2: float) -> float:
 
 
 def estimate_pU1(params: SparcParams, z2: float, n_samples: int,
-                 seed: int = 0, tilted: bool = False,
-                 chunk: int = 200_000) -> ProbabilityEstimate:
+                 seed: int = 0, tilted: bool = False) -> ProbabilityEstimate:
     """Monte Carlo estimate of P(one codeword lands within distortion D of
     a power-z2 source). By rotational invariance the codeword coordinates
     are sampled i.i.d N(0, gamma2) against the constant vector (z,...,z);
@@ -316,7 +324,7 @@ def estimate_pU1(params: SparcParams, z2: float, n_samples: int,
         hits = 0
         done = 0
         while done < n_samples:
-            m = min(chunk, n_samples - done)
+            m = min(_PU1_CHUNK, n_samples - done)
             x = math.sqrt(g2) * rng.standard_normal((m, n))
             v = np.einsum("ij,ij->i", x - z, x - z)
             hits += int(np.count_nonzero(v <= n * D))
@@ -335,7 +343,7 @@ def estimate_pU1(params: SparcParams, z2: float, n_samples: int,
     hits = 0
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_PU1_CHUNK, n_samples - done)
         x = mean_t + math.sqrt(var_t) * rng.standard_normal((m, n))
         v = np.einsum("ij,ij->i", x - z, x - z)
         w = np.where(v <= n * D, np.exp(n * psi - t0 * v), 0.0)
@@ -353,7 +361,7 @@ def estimate_pU1(params: SparcParams, z2: float, n_samples: int,
 
 
 def estimate_pair_prob(params: SparcParams, z2: float, r: int, n_samples: int,
-                       seed: int = 0, chunk: int = 100_000) -> ProbabilityEstimate:
+                       seed: int = 0) -> ProbabilityEstimate:
     """Monte Carlo estimate of P(two codewords sharing r sections both land
     within D of a power-z2 source). Coordinate pairs are jointly Gaussian
     with covariance gamma2 [[1, a], [a, 1]], a = r/L, sampled against the
@@ -373,7 +381,7 @@ def estimate_pair_prob(params: SparcParams, z2: float, r: int, n_samples: int,
     hits = 0
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_PAIR_CHUNK, n_samples - done)
         x = rng.standard_normal((m, n))
         y = rng.standard_normal((m, n))
         s1 = g * x
@@ -483,8 +491,8 @@ class RobustnessResult:
 
 
 def robustness_suite(params: SparcParams, models: Sequence[SourceModel],
-                     n_trials: int, seed: Optional[int] = None,
-                     n_threads: Optional[int] = None) -> RobustnessResult:
+                     n_trials: int,
+                     seed: Optional[int] = None) -> RobustnessResult:
     """Run the same experiment (same seeds, hence same matrices) for each
     source model and compare conditional success rates given
     |s|^2 <= sigma2 against the first model, with a joint 3-SE band."""
@@ -501,8 +509,7 @@ def robustness_suite(params: SparcParams, models: Sequence[SourceModel],
     reports: Dict[str, ExperimentReport] = {}
     conditional: Dict[str, ConditionalRate] = {}
     for model in models:
-        report = run_experiment(params, model, n_trials, seed=seed,
-                                n_threads=n_threads)
+        report = run_experiment(params, model, n_trials, seed=seed)
         key = model.label
         reports[key] = report
         cond = [r for r in report.trials if r.z2 <= params.sigma2]
@@ -543,8 +550,8 @@ class ExponentTrend:
 
 
 def exponent_trend(params_family: Sequence[SparcParams], model: SourceModel,
-                   n_trials: int, seed: Optional[int] = None,
-                   n_threads: Optional[int] = None) -> ExponentTrend:
+                   n_trials: int,
+                   seed: Optional[int] = None) -> ExponentTrend:
     """Empirical error exponents -ln(P_e)/n across a family of sizes at
     common (R, D), with a linear fit of the exponent against n. Sizes
     with zero observed errors report a one-sided upper bound instead of a
@@ -560,8 +567,7 @@ def exponent_trend(params_family: Sequence[SparcParams], model: SourceModel,
     entries: List[TrendEntry] = []
     for p in params_family:
         report = run_experiment(p, model, n_trials,
-                                seed=p.seed if seed is None else seed,
-                                n_threads=n_threads)
+                                seed=p.seed if seed is None else seed)
         k_err = report.n_trials - report.n_success
         if k_err == 0:
             upper = clopper_pearson_upper(0, n_trials)

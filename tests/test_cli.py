@@ -51,6 +51,26 @@ def test_unknown_flag_exits_2(capsys):
     assert e.value.code == 2
 
 
+SIM_ARGS = ["simulate", "--n", "12", "--L", "3", "--M", "4", "--D", "0.7",
+            "--trials", "25"]
+ROBUST_ARGS = ["robustness", "--n", "12", "--L", "3", "--M", "4", "--D", "0.7",
+               "--trials", "5"]
+TREND_ARGS = ["exponent-trend", "--sizes", "6:2:16,9:3:16,12:4:16",
+              "--D", "0.9", "--trials", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--threads", "2"],
+    SIM_ARGS + ["--format", "json"],
+    ROBUST_ARGS + ["--model", "laplace_iid"],
+    TREND_ARGS + ["--trial-log", "x"],
+])
+def test_flag_the_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # curve
 # ---------------------------------------------------------------------------
@@ -184,10 +204,6 @@ def test_suen_check_mode_passes(capsys):
 # simulate / robustness / exponent-trend
 # ---------------------------------------------------------------------------
 
-SIM_ARGS = ["simulate", "--n", "12", "--L", "3", "--M", "4", "--D", "0.7",
-            "--trials", "25"]
-
-
 def test_simulate_json_report(capsys):
     code, out, _ = run_main(capsys, *SIM_ARGS)
     assert code == EXIT_OK
@@ -212,6 +228,12 @@ def test_simulate_byte_identical_and_trial_log(tmp_path, capsys):
     assert statuses <= {"ok", "variance_overflow", "trivial_zero"}
 
 
+@pytest.mark.parametrize("argv", [SIM_ARGS, ROBUST_ARGS, TREND_ARGS])
+def test_zero_model_sigma2_exits_2(capsys, argv):
+    code, _, err = run_main(capsys, *argv, "--model-sigma2", "0")
+    assert code == EXIT_CONFIG and "sigma2 must be positive" in err
+
+
 def test_simulate_low_rate_exits_2(capsys):
     code, _, err = run_main(capsys, "simulate", "--n", "20", "--L", "3",
                             "--M", "4", "--D", "0.7", "--trials", "5")
@@ -228,6 +250,20 @@ def test_config_file_merge_and_override(tmp_path, capsys):
     code, out, _ = run_main(capsys, "simulate", "--config", str(cfg),
                             "--trials", "4")
     assert json.loads(out)["report"]["n_trials"] == 4   # explicit flag wins
+
+
+def test_config_file_null_means_default(tmp_path, capsys):
+    # artifact config blocks record an unset --rho2 as null
+    base = {"n": 12, "L": 3, "M": 4, "D": 0.7, "trials": 10}
+    outs = []
+    for name, values in (("omit", base), ("null", {**base, "rho2": None})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / f"{name}.out.json"
+        assert run_main(capsys, "simulate", "--config", str(cfg),
+                        "--out", str(out))[0] == EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparcomp as sp
+from sparcomp import core
 import sparcomp.theory as th
 from sparcomp.core import (
     BetaVector, LowRateError, beta_rank, beta_to_bits, beta_unrank,
@@ -227,10 +228,11 @@ def test_matrix_determinism(small):
     assert mt.content_hash() == again.content_hash()
 
 
-def test_matrix_size_guard():
+def test_matrix_size_guard(monkeypatch):
     p = make_params(64, 8, 256, 1.0, 0.5, seed=0)
-    with pytest.raises(ValueError):
-        build_design_matrix(p, max_entries=10_000)
+    monkeypatch.setattr(core, "MAX_MATRIX_ENTRIES", 10_000)
+    with pytest.raises(ValueError, match="cap"):
+        build_design_matrix(p)
 
 
 def test_synthesize_is_linear(small):

@@ -1,6 +1,6 @@
 """Exhaustive nearest-codeword search: gating, optimality against a fresh
 brute-force oracle, tie-break determinism, codebook monotonicity and the
-parallel reduction."""
+tiled kernel."""
 
 import numpy as np
 import pytest
@@ -210,10 +210,9 @@ def test_duplicated_columns_match_oracle(seed, copies):
     assert fast.distortion == slow.distortion
 
 
-@pytest.mark.parametrize("n_threads", [1, 3])
-def test_tiled_search_matches_oracle_across_tiles(monkeypatch, n_threads):
+def test_tiled_search_matches_oracle_across_tiles(monkeypatch):
     # a one-section inner block and two-row tiles make the (8, 3, 4)
-    # search span 8 tiles, split over threads when n_threads > 1
+    # search span 8 tiles
     monkeypatch.setattr(encoder, "_INNER_COLS", 4)
     monkeypatch.setattr(encoder, "_TILE_BYTES", 2 * 4 * 8)
     rng = _rng(101)
@@ -221,28 +220,8 @@ def test_tiled_search_matches_oracle_across_tiles(monkeypatch, n_threads):
         p = make_params(8, 3, 4, 1.0, 0.5, seed=300 + trial)
         mt = build_design_matrix(p)
         source = _scaled_source(rng, p)
-        fast = encode_min_distance(mt, source, n_threads=n_threads)
+        fast = encode_min_distance(mt, source)
         assert fast == encode_oracle(mt, source)
-
-
-def test_parallel_search_matches_serial(inst):
-    p, mt = inst
-    rng = _rng(31)
-    for _ in range(20):
-        source = rng.normal(size=p.n) * 0.85
-        serial = encode_min_distance(mt, source, n_threads=1)
-        parallel = encode_min_distance(mt, source, n_threads=3)
-        assert serial.status == parallel.status
-        assert serial.beta == parallel.beta
-        assert serial.distortion == parallel.distortion
-
-
-def test_thread_env_var_respected(inst, monkeypatch):
-    p, mt = inst
-    source = _rng(11).normal(size=p.n) * 0.85
-    base = encode_min_distance(mt, source)
-    monkeypatch.setenv("SPARCOMP_THREADS", "4")
-    assert encode_min_distance(mt, source).beta == base.beta
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +252,11 @@ def test_min_distortion_nonincreasing_in_M():
 # caps and exhaustive distortion views
 # ---------------------------------------------------------------------------
 
-def test_search_cap_enforced(inst):
+def test_search_cap_enforced(inst, monkeypatch):
     p, mt = inst
-    with pytest.raises(ValueError):
-        encode_min_distance(mt, np.zeros(p.n) + 0.8, search_cap=10)
+    monkeypatch.setattr(encoder, "SEARCH_CAP", 10)
+    with pytest.raises(ValueError, match="search cap"):
+        encode_min_distance(mt, np.zeros(p.n) + 0.8)
 
 
 def test_oracle_cap_enforced():

@@ -3,9 +3,12 @@ and audit trail, coverage-probability estimators against the exact noncentral
 chi-square value, and the bound/robustness/trend drivers."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 from scipy.stats import beta as beta_dist
 
 import sparcomp as sp
@@ -82,6 +85,30 @@ def test_draw_source_deterministic():
     assert not np.array_equal(a, draw_source(GAUSS, 64, 100))
 
 
+@pytest.mark.parametrize("n", [1, 14])
+@pytest.mark.parametrize("phi", [-0.9, 0.0, 0.5, 0.95])
+def test_gauss_markov_matches_lfilter(phi, n):
+    # the AR(1) recursion performs lfilter's floating-point operations
+    sigma2 = 1.3
+    sig = math.sqrt(sigma2)
+    for seed in range(25):
+        e = np.random.default_rng(seed).standard_normal(n)
+        v = e * (sig * math.sqrt(1.0 - phi * phi))
+        v[0] = sig * e[0]
+        want = lfilter([1.0], [1.0, -phi], v)
+        got = draw_source(SourceModel("gauss_markov", sigma2, phi), n, seed)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sparcomp.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # binomial intervals
 # ---------------------------------------------------------------------------
@@ -141,12 +168,6 @@ def test_run_experiment_deterministic(tiny):
     b = run_experiment(tiny, GAUSS, 30)
     assert a.to_dict() == b.to_dict()
     assert a.trials == b.trials
-
-
-def test_run_experiment_threads_do_not_change_report(tiny):
-    a = run_experiment(tiny, GAUSS, 25, n_threads=1)
-    b = run_experiment(tiny, GAUSS, 25, n_threads=3)
-    assert a.to_dict() == b.to_dict()
 
 
 def test_run_experiment_matrix_modes_differ(tiny):
