@@ -2,8 +2,9 @@
 One complete compression round trip on a single source block.
 
 Builds the seeded Gaussian dictionary, encodes a block by exhaustive
-minimum-distance search, shows the index/bit serialization both ways,
-reconstructs the block, and persists matrix and selection to files.
+minimum-distance search, shows the selection as its codeword rank and as
+the packed L*log2(M)-bit payload, reconstructs the block, and decodes it
+again from the matrix and payload files.
 """
 import tempfile
 from pathlib import Path
@@ -11,19 +12,20 @@ from pathlib import Path
 import numpy as np
 
 from sparcomp import (
-    beta_rank, beta_to_bits, bits_to_beta, build_design_matrix,
-    encode_min_distance, load_beta, load_matrix, make_params, save_beta,
-    save_matrix, synthesize,
+    beta_rank, build_design_matrix, encode_min_distance, load_matrix,
+    make_params, save_matrix, synthesize,
 )
+from sparcomp.core import pack_beta_bits, unpack_beta_bits
 from sparcomp.encoder import sample_power
 from sparcomp.sim import SourceModel, draw_source
 
 
 def main():
     params = make_params(12, 5, 16, 1.0, 0.5, seed=2024)
+    nbits = params.L * (params.M.bit_length() - 1)
     print(f"codebook: L={params.L} sections x M={params.M} columns, "
           f"n={params.n}, rate {params.R:.4f} nats/sample "
-          f"({params.L * 4} bits per block)")
+          f"({nbits} bits per block)")
     matrix = build_design_matrix(params)
     print(f"dictionary hash: {matrix.content_hash()[:16]}...\n")
 
@@ -36,9 +38,12 @@ def main():
     print("distortion:", round(result.distortion, 4), "target D:", params.D)
 
     rank = beta_rank(result.beta, params.M)
-    bits = beta_to_bits(result.beta, params.M)
-    print(f"\ncodeword rank {rank} of {params.n_codewords}; bits: {bits}")
-    assert bits_to_beta(bits, params) == result.beta
+    payload = pack_beta_bits(result.beta, params.M)
+    bits = "".join(f"{byte:08b}" for byte in payload)[:nbits]
+    print(f"\ncodeword rank {rank} of {params.n_codewords}")
+    print(f"payload: {payload.hex()} ({len(payload)} bytes); "
+          f"its {nbits} bits: {bits}")
+    assert unpack_beta_bits(payload, params.L, params.M) == result.beta
 
     reconstruction = synthesize(matrix, result.beta)
     err = sample_power(source - reconstruction)
@@ -47,8 +52,9 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         mpath, bpath = Path(tmp) / "dict.bin", Path(tmp) / "beta.bin"
         save_matrix(matrix, mpath)
-        save_beta(result.beta, bpath)
-        again = synthesize(load_matrix(mpath, params), load_beta(bpath))
+        bpath.write_bytes(payload)
+        beta = unpack_beta_bits(bpath.read_bytes(), params.L, params.M)
+        again = synthesize(load_matrix(mpath, params), beta)
         print("decode-from-files identical:",
               bool(np.array_equal(again, reconstruction)))
 

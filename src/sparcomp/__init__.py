@@ -14,14 +14,10 @@ from .core import (
     LowRateError,
     SparcParams,
     beta_rank,
-    beta_to_bits,
     beta_unrank,
-    bits_to_beta,
     build_design_matrix,
-    load_beta,
     load_matrix,
     make_params,
-    save_beta,
     save_matrix,
     synthesize,
 )
@@ -29,7 +25,6 @@ from .encoder import (
     EncodeResult,
     encode_min_distance,
     encode_oracle,
-    min_distortion_profile,
     sample_power,
 )
 from .theory import (

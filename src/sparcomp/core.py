@@ -34,13 +34,9 @@ __all__ = [
     "synthesize",
     "beta_rank",
     "beta_unrank",
-    "beta_to_bits",
-    "bits_to_beta",
     "save_matrix",
     "load_matrix",
     "read_matrix_header",
-    "save_beta",
-    "load_beta",
     "pack_beta_bits",
     "unpack_beta_bits",
 ]
@@ -200,62 +196,44 @@ def beta_unrank(rank: int, L: int, M: int) -> BetaVector:
     return BetaVector(tuple(idx))
 
 
-def beta_to_bits(beta: BetaVector, M: int) -> str:
-    """Bit representation: L groups of log2(M) bits, section 0 first,
-    big-endian within each group. Requires M to be a power of two; use
-    beta_rank for the mixed-radix serialization otherwise."""
+def _bit_width(M: int) -> int:
     width = M.bit_length() - 1
     if M != 1 << width:
-        raise ValueError(f"bit format needs a power-of-two M, got {M}")
-    return "".join(format(idx, f"0{width}b") for idx in beta.indices)
-
-
-def bits_to_beta(bits: str, params: SparcParams) -> BetaVector:
-    """Inverse of beta_to_bits for the codebook described by params."""
-    M, L = params.M, params.L
-    width = M.bit_length() - 1
-    if M != 1 << width:
-        raise ValueError(f"bit format needs a power-of-two M, got {M}")
-    if len(bits) != L * width or any(ch not in "01" for ch in bits):
-        raise ValueError(f"expected {L * width} bits of 0/1, got {len(bits)} chars")
-    idx = tuple(int(bits[l * width:(l + 1) * width], 2) for l in range(L))
-    return BetaVector(idx)
+        raise ValueError(f"packed format needs a power-of-two M, got {M}")
+    return width
 
 
 def pack_beta_bits(beta: BetaVector, M: int) -> bytes:
-    """beta_to_bits packed into bytes, zero-padded at the end."""
-    bits = beta_to_bits(beta, M)
-    pad = (-len(bits)) % 8
-    bits = bits + "0" * pad
-    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+    """The L * log2(M)-bit payload the rate counts: one log2(M)-bit group
+    per section, section 0 first, big-endian within each group, zero-padded
+    at the end to whole bytes. Requires M to be a power of two; beta_rank
+    is the mixed-radix form for any M."""
+    width = _bit_width(M)
+    value = 0
+    for idx in beta.indices:
+        if not 0 <= idx < M:
+            raise ValueError(f"index {idx} outside [0, {M})")
+        value = (value << width) | idx
+    nbits = len(beta.indices) * width
+    pad = -nbits % 8
+    return (value << pad).to_bytes((nbits + pad) // 8, "big")
 
 
-def unpack_beta_bits(data: bytes, params: SparcParams) -> BetaVector:
-    width = params.M.bit_length() - 1
-    need = params.L * width
-    bits = "".join(format(byte, "08b") for byte in data)
-    if len(bits) < need:
-        raise ValueError(f"packed data too short: {len(bits)} bits < {need}")
-    return bits_to_beta(bits[:need], params)
-
-
-def save_beta(beta: BetaVector, path) -> None:
-    """Length-prefixed u32 index array, little-endian."""
-    body = struct.pack("<I", len(beta.indices))
-    body += struct.pack(f"<{len(beta.indices)}I", *beta.indices)
-    with open(path, "wb") as fh:
-        fh.write(body)
-
-
-def load_beta(path) -> BetaVector:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4:
-        raise ValueError("beta file truncated")
-    (L,) = struct.unpack_from("<I", raw, 0)
-    if len(raw) != 4 + 4 * L:
-        raise ValueError(f"beta file length {len(raw)} != {4 + 4 * L}")
-    return BetaVector(struct.unpack_from(f"<{L}I", raw, 4))
+def unpack_beta_bits(data: bytes, L: int, M: int) -> BetaVector:
+    """Inverse of pack_beta_bits for L sections of M columns. The payload
+    must hold exactly ceil(L * log2(M) / 8) bytes with zero pad bits."""
+    width = _bit_width(M)
+    nbits = L * width
+    pad = -nbits % 8
+    size = (nbits + pad) // 8
+    if len(data) != size:
+        raise ValueError(f"payload holds {len(data)} bytes, expected {size}")
+    value = int.from_bytes(data, "big")
+    if value & ((1 << pad) - 1):
+        raise ValueError("payload has non-zero pad bits")
+    value >>= pad
+    return BetaVector(tuple((value >> (width * (L - 1 - l))) & (M - 1)
+                            for l in range(L)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "ORACLE_CAP",
     "encode_min_distance",
     "encode_oracle",
-    "min_distortion_profile",
     "sample_power",
 ]
 
@@ -96,16 +95,14 @@ def _check_source(matrix: DesignMatrix, source) -> np.ndarray:
     return source
 
 
-def _gate(matrix: DesignMatrix, source: np.ndarray,
-          D: Optional[float]) -> Tuple[float, Optional[EncodeResult]]:
+def _gate(matrix: DesignMatrix, source: np.ndarray) -> Optional[EncodeResult]:
     p = matrix.params
-    D = p.D if D is None else float(D)
     z2 = sample_power(source)
     if z2 >= p.rho2:
-        return D, EncodeResult(STATUS_VARIANCE_OVERFLOW, None, None)
-    if z2 < D:
-        return D, EncodeResult(STATUS_TRIVIAL_ZERO, None, z2)
-    return D, None
+        return EncodeResult(STATUS_VARIANCE_OVERFLOW, None, None)
+    if z2 < p.D:
+        return EncodeResult(STATUS_TRIVIAL_ZERO, None, z2)
+    return None
 
 
 def _exact_sq(matrix: DesignMatrix, source: np.ndarray, rank: int) -> float:
@@ -208,8 +205,7 @@ def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
     return best_rank, best
 
 
-def encode_min_distance(matrix: DesignMatrix, source,
-                        D: Optional[float] = None) -> EncodeResult:
+def encode_min_distance(matrix: DesignMatrix, source) -> EncodeResult:
     """Encode one source block: gates first, then the exhaustive search.
 
     The reported distortion is the exact scorer's value at the argmin,
@@ -220,15 +216,14 @@ def encode_min_distance(matrix: DesignMatrix, source,
     if p.n_codewords > SEARCH_CAP:
         raise ValueError(
             f"codebook holds {p.n_codewords} candidates > search cap {SEARCH_CAP}")
-    D, gated = _gate(matrix, source, D)
+    gated = _gate(matrix, source)
     if gated is not None:
         return gated
     rank, sq = _search_min(matrix, source)
     return EncodeResult(STATUS_OK, beta_unrank(rank, p.L, p.M), sq / p.n)
 
 
-def encode_oracle(matrix: DesignMatrix, source,
-                  D: Optional[float] = None) -> EncodeResult:
+def encode_oracle(matrix: DesignMatrix, source) -> EncodeResult:
     """Same contract as encode_min_distance, by scoring every codeword
     with the exact scorer in rank order. Test oracle only."""
     source = _check_source(matrix, source)
@@ -236,7 +231,7 @@ def encode_oracle(matrix: DesignMatrix, source,
     if p.n_codewords > ORACLE_CAP:
         raise ValueError(
             f"codebook holds {p.n_codewords} candidates > oracle cap {ORACLE_CAP}")
-    D, gated = _gate(matrix, source, D)
+    gated = _gate(matrix, source)
     if gated is not None:
         return gated
     best_rank, best = 0, np.inf
@@ -257,12 +252,3 @@ def all_distortions(matrix: DesignMatrix, source) -> np.ndarray:
     block = _section_sums(matrix, 0, p.L)  # n x M^L column sums
     resid = source[:, None] - p.c * block
     return np.einsum("ij,ij->j", resid, resid) / p.n
-
-
-def min_distortion_profile(matrix: DesignMatrix, source) -> List[Tuple[float, int]]:
-    """Exact histogram of per-sample distortion over the whole codebook,
-    ascending; counting entries below D gives the number of codewords
-    covering the source."""
-    dists = all_distortions(matrix, source)
-    values, counts = np.unique(dists, return_counts=True)
-    return [(float(v), int(c)) for v, c in zip(values, counts)]

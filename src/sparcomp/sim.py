@@ -11,7 +11,6 @@ order-independent and reports are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -172,9 +171,8 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Aggregated outcome of one Monte Carlo run. Timing fields are
-    excluded from serialized output so identical configs produce
-    byte-identical files."""
+    """Aggregated outcome of one Monte Carlo run. It holds no timing, so
+    identical configs produce byte-identical files."""
 
     params: SparcParams
     model: SourceModel
@@ -189,11 +187,9 @@ class ExperimentReport:
     distortion_quantiles: Dict[str, float]
     distortion_hist: Tuple[Tuple[float, ...], Tuple[int, ...]]
     trials: Tuple[TrialRecord, ...]
-    wall_clock_s: float
-    candidates_per_s: float
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "params": {k: getattr(self.params, k) for k in
                        ("n", "L", "M", "b", "R", "sigma2", "D", "rho2",
                         "gamma2", "c", "seed")},
@@ -213,10 +209,6 @@ class ExperimentReport:
                 "counts": list(self.distortion_hist[1]),
             },
         }
-        if include_timing:
-            out["wall_clock_s"] = self.wall_clock_s
-            out["candidates_per_s"] = self.candidates_per_s
-        return out
 
 
 def run_experiment(params: SparcParams, model: SourceModel, n_trials: int,
@@ -235,10 +227,8 @@ def run_experiment(params: SparcParams, model: SourceModel, n_trials: int,
         seed = params.seed
     fixed = None if fresh_matrix else build_design_matrix(params)
 
-    t_start = time.perf_counter()
     records: List[TrialRecord] = []
     status_counts = {STATUS_OK: 0, STATUS_VARIANCE_OVERFLOW: 0, STATUS_TRIVIAL_ZERO: 0}
-    searched = 0
     for trial in range(n_trials):
         source = draw_source(model, params.n, _seed_seq(seed, SOURCE_STREAM, trial))
         if fresh_matrix:
@@ -247,8 +237,6 @@ def run_experiment(params: SparcParams, model: SourceModel, n_trials: int,
         else:
             matrix = fixed
         result = encode_min_distance(matrix, source)
-        if result.status == STATUS_OK:
-            searched += 1
         success = (result.status != STATUS_VARIANCE_OVERFLOW
                    and result.distortion is not None
                    and result.distortion <= params.D)
@@ -257,7 +245,6 @@ def run_experiment(params: SparcParams, model: SourceModel, n_trials: int,
             trial=trial, source_kind=model.label,
             z2=sample_power(source), status=result.status,
             distortion=result.distortion, success=success))
-    wall = time.perf_counter() - t_start
 
     n_success = sum(r.success for r in records)
     n_err = n_trials - n_success
@@ -277,8 +264,6 @@ def run_experiment(params: SparcParams, model: SourceModel, n_trials: int,
         p_error=n_err / n_trials, p_error_ci=wilson_interval(n_err, n_trials),
         mean_distortion=mean_d, distortion_quantiles=quants,
         distortion_hist=hist, trials=tuple(records),
-        wall_clock_s=wall,
-        candidates_per_s=searched * params.n_codewords / wall if wall > 0 else 0.0,
     )
 
 

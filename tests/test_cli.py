@@ -71,6 +71,28 @@ def test_flag_the_command_does_not_read_exits_2(capsys, argv):
     assert e.value.code == 2
 
 
+def test_each_subcommand_times_itself_once_on_stderr(capsys):
+    runs = [
+        ["curve", "--points", "5"],
+        ["bounds", "--n", "12", "--L", "3", "--M", "4", "--D", "0.7",
+         "--z2-count", "2"],
+        ["suen", "--n", "12", "--L", "3", "--M", "4", "--D", "0.7",
+         "--z2", "0.8", "--samples", "2000"],
+        SIM_ARGS, ROBUST_ARGS, TREND_ARGS,
+    ]
+    for argv in runs:
+        code, out, err = run_main(capsys, *argv)
+        assert code == EXIT_OK
+        clock = [l for l in err.splitlines() if "wall clock" in l]
+        assert len(clock) == 1 and clock[0].startswith(f"{argv[0]} wall clock: ")
+        assert "wall clock" not in out
+        if argv[0] == "simulate":
+            rep = json.loads(out)["report"]
+            assert not any("clock" in k or "_per_s" in k for k in rep)
+            ok = rep["status_counts"]["ok"]
+            assert f"simulate candidates scored: {ok * 4 ** 3}" in err.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # curve
 # ---------------------------------------------------------------------------
@@ -211,7 +233,6 @@ def test_simulate_json_report(capsys):
     rep = doc["report"]
     assert rep["n_trials"] == 25
     assert sum(rep["status_counts"].values()) == 25
-    assert "wall_clock_s" not in rep
     assert doc["meta"]["config"]["subcommand"] == "simulate"
 
 

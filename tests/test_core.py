@@ -1,4 +1,4 @@
-"""Parameter derivation, index/bit serialization round trips, the seeded
+"""Parameter derivation, rank and packed-payload round trips, the seeded
 Gaussian stream, design-matrix construction and file containers."""
 
 import hashlib
@@ -13,10 +13,9 @@ import sparcomp as sp
 from sparcomp import core
 import sparcomp.theory as th
 from sparcomp.core import (
-    BetaVector, LowRateError, beta_rank, beta_to_bits, beta_unrank,
-    bits_to_beta, build_design_matrix, gaussian_stream, load_beta,
-    load_matrix, make_params, pack_beta_bits, read_matrix_header, save_beta,
-    save_matrix, synthesize, unpack_beta_bits,
+    BetaVector, LowRateError, beta_rank, beta_unrank, build_design_matrix,
+    gaussian_stream, load_matrix, make_params, pack_beta_bits,
+    read_matrix_header, save_matrix, synthesize, unpack_beta_bits,
 )
 
 
@@ -89,13 +88,27 @@ def test_beta_rank_known_value():
 
 
 def test_beta_bits_known_value():
-    # section 0 first, big-endian within a section
-    assert beta_to_bits(BetaVector((3, 1)), 4) == "1101"
+    # section 0 first, big-endian within a section, zero-padded at the end
+    assert pack_beta_bits(BetaVector((3, 1)), 4) == b"\xd0"
+    assert pack_beta_bits(BetaVector((3, 1, 2)), 4) == b"\xd8"
 
 
 def test_bits_requires_power_of_two_M():
     with pytest.raises(ValueError):
-        beta_to_bits(BetaVector((0, 1)), 3)
+        pack_beta_bits(BetaVector((0, 1)), 3)
+    with pytest.raises(ValueError):
+        unpack_beta_bits(b"\x00", 2, 3)
+
+
+def test_unpack_rejects_trailing_bytes():
+    assert unpack_beta_bits(b"\xd8", 3, 4) == BetaVector((3, 1, 2))
+    with pytest.raises(ValueError, match="bytes"):
+        unpack_beta_bits(b"\xd8\xff\xff", 3, 4)
+
+
+def test_unpack_rejects_non_zero_pad_bits():
+    with pytest.raises(ValueError, match="pad bits"):
+        unpack_beta_bits(b"\xdb", 3, 4)
 
 
 def test_rank_unrank_exhaustive_small():
@@ -124,28 +137,16 @@ def test_bits_round_trip(L, M, data):
     idx = tuple(data.draw(st.integers(min_value=0, max_value=M - 1))
                 for _ in range(L))
     beta = BetaVector(idx)
-    bits = beta_to_bits(beta, M)
-    assert len(bits) == L * int(math.log2(M))
-    n = max(8, L * int(math.log2(M)))  # block length irrelevant here
-    p = make_params(n, L, M, 1.0, 0.5, rho2=1.5, allow_low_rate=True, seed=0) \
-        if L * math.log(M) / n <= th.sparc_rate(1.0, 0.5) else \
-        make_params(n, L, M, 1.0, 0.5, seed=0)
-    assert bits_to_beta(bits, p) == beta
     packed = pack_beta_bits(beta, M)
-    assert unpack_beta_bits(packed, p) == beta
-
-
-def test_beta_file_round_trip(tmp_path):
-    beta = BetaVector((3, 0, 2, 1))
-    path = tmp_path / "beta.bin"
-    save_beta(beta, path)
-    assert load_beta(path) == beta
+    assert len(packed) == math.ceil(L * int(math.log2(M)) / 8)
+    assert unpack_beta_bits(packed, L, M) == beta
 
 
 def test_beta_indices_validated():
-    p = make_params(8, 3, 4, 1.0, 0.5, seed=0)
     with pytest.raises(ValueError):
-        bits_to_beta("11", p)            # wrong length
+        unpack_beta_bits(b"\xd8", 5, 4)  # 10 bits need 2 bytes
+    with pytest.raises(ValueError):
+        pack_beta_bits(BetaVector((4, 0)), 4)
     with pytest.raises(ValueError):
         beta_unrank(-1, 3, 4)
     with pytest.raises(ValueError):

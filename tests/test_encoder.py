@@ -2,6 +2,8 @@
 brute-force oracle, tie-break determinism, codebook monotonicity and the
 tiled kernel."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from sparcomp.core import (
 )
 from sparcomp.encoder import (
     STATUS_OK, STATUS_TRIVIAL_ZERO, STATUS_VARIANCE_OVERFLOW, all_distortions,
-    encode_min_distance, encode_oracle, min_distortion_profile, sample_power,
+    encode_min_distance, encode_oracle, sample_power,
 )
 
 
@@ -60,10 +62,13 @@ def test_gate_thresholds_are_strict(inst):
 
 
 def test_explicit_D_overrides_params(inst):
+    # the gate reads the threshold from matrix.params.D
     p, mt = inst
     source = np.full(p.n, np.sqrt(p.D) * 0.9)     # below params.D
-    res = encode_min_distance(mt, source, D=p.D * 0.5)
-    assert res.status == STATUS_OK                 # no longer under threshold
+    assert encode_min_distance(mt, source).status == STATUS_TRIVIAL_ZERO
+    lower = DesignMatrix(replace(p, D=p.D * 0.5), mt.entries)
+    for encode in (encode_min_distance, encode_oracle):
+        assert encode(lower, source).status == STATUS_OK
 
 
 def test_source_shape_checked(inst):
@@ -185,8 +190,9 @@ def test_midpoint_ties_match_oracle(seed, r1, r2):
     mt = build_design_matrix(p)
     source = 0.5 * (synthesize(mt, beta_unrank(r1, p.L, p.M))
                     + synthesize(mt, beta_unrank(r2, p.L, p.M)))
-    fast = encode_min_distance(mt, source, D=0.0)
-    slow = encode_oracle(mt, source, D=0.0)
+    mt = DesignMatrix(replace(p, D=0.0), mt.entries)
+    fast = encode_min_distance(mt, source)
+    slow = encode_oracle(mt, source)
     assert fast.beta == slow.beta
     assert fast.distortion == slow.distortion
 
@@ -241,8 +247,8 @@ def test_min_distortion_nonincreasing_in_M():
         cols = np.concatenate([
             big.entries[:, sec * base.M: sec * base.M + M]
             for sec in range(base.L)], axis=1)
-        mt = DesignMatrix(p, cols)
-        res = encode_min_distance(mt, source, D=1e-12)
+        mt = DesignMatrix(replace(p, D=1e-12), cols)
+        res = encode_min_distance(mt, source)
         assert res.status == STATUS_OK
         assert res.distortion <= prev + 1e-15
         prev = res.distortion
@@ -271,22 +277,14 @@ def test_all_distortions_agrees_with_search(inst):
     source = _rng(41).normal(size=p.n) * 0.85
     dists = all_distortions(mt, source)
     assert dists.shape == (p.n_codewords,)
-    res = encode_min_distance(mt, source, D=1e-12)
+    strict = DesignMatrix(replace(p, D=1e-12), mt.entries)
+    res = encode_min_distance(strict, source)
     assert res.status == STATUS_OK
     assert float(dists.min()) == pytest.approx(res.distortion, rel=1e-12)
     # rank indexing: entry at the argmin rank equals the reported distortion
     from sparcomp.core import beta_rank
     assert dists[beta_rank(res.beta, p.M)] == pytest.approx(
         res.distortion, rel=1e-12)
-
-
-def test_min_distortion_profile_sorted_and_total(inst):
-    p, mt = inst
-    source = _rng(43).normal(size=p.n) * 0.85
-    prof = min_distortion_profile(mt, source)
-    values = [v for v, _ in prof]
-    assert values == sorted(values)
-    assert sum(c for _, c in prof) == p.n_codewords
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -182,8 +182,7 @@ def test_run_experiment_matrix_modes_differ(tiny):
 
 def test_run_experiment_timing_excluded_from_dict(tiny):
     rep = run_experiment(tiny, GAUSS, 5)
-    assert "wall_clock_s" not in rep.to_dict()
-    assert "wall_clock_s" in rep.to_dict(include_timing=True)
+    assert not any("clock" in key or "_per_s" in key for key in rep.to_dict())
 
 
 def test_trial_records_audit_against_oracle(tiny):
