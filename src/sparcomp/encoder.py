@@ -9,24 +9,32 @@ mixed-radix rank.
 
 Every codeword is scored by one exact scorer, _exact_sq: the squared norm
 of source - synthesize(beta), with the codeword accumulated in section
-order. The search finds its argmin in two steps:
+order, evaluated for a batch of ranks at a time. The search finds its
+argmin in two steps:
 
-1. A tiled kernel. The first k sections are expanded into an inner block
-   of M^k column sums x, the remaining sections into outer residuals
-   r = s - c * outer. The inner block is augmented with the row c^2 |x|^2
-   below -2c x, the residuals with a column of ones, so one matrix product
-   per row tile of residuals gives c^2 |x|^2 - 2c r.x for every candidate
-   of the tile. Tiles are sized to stay in L2; each row's minimum is taken
-   in place and |r|^2 is added to the row minima only.
-2. An exact rescore of near-ties. Kernel values differ from _exact_sq by
-   at most a rigorous rounding bound tol (_kernel_tol), so every exact
-   minimum lies within 2 tol of the kernel minimum. The candidates inside
-   that window are rescored with _exact_sq and the smallest rank among
-   the exact minima wins. The result therefore does not depend on the
-   kernel's rounding or tile size.
+1. A float32 tiled kernel. The first k sections are expanded into an inner
+   block of M^k column sums x; the remaining sections form the outer
+   ranks, whose residual rows r = s - c * outer are built a chunk at a
+   time inside the tile loop, from the outer section sums kept as two
+   factors. The inner block is augmented with the row c^2 |x|^2 below
+   -2c x, the residual rows with a column of ones, so one float32 matrix
+   product per row tile gives c^2 |x|^2 - 2c r.x for every candidate of
+   the tile. Before the cast to float32, every input is scaled by a power
+   of two near 1 / Lam, where Lam bounds every codeword error norm; the
+   scaling is exact, and float32 then neither overflows nor loses the
+   bound to underflow. Tiles are sized to stay in L2 and in the BLAS
+   small-matrix path; each row's minimum is taken in place and |r|^2,
+   computed in float64, is added to the row minima only.
+2. An exact rescore of the window. Kernel values differ from the scaled
+   _exact_sq by at most a rigorous rounding bound tol (_kernel_tol, at
+   the float32 unit roundoff), so every exact minimum lies within 2 tol
+   of the kernel minimum. Every candidate inside that window is rescored
+   with _exact_sq in vectorized batches and the smallest rank among the
+   exact minima wins. The result therefore does not depend on the
+   kernel's rounding, precision or tile size.
 
-A plain per-candidate oracle with the same scorer (encode_oracle)
-cross-validates it in tests.
+A plain oracle that scores every rank with the same scorer
+(encode_oracle) cross-validates it in tests.
 """
 
 from __future__ import annotations
@@ -60,10 +68,18 @@ STATUS_TRIVIAL_ZERO = "trivial_zero"
 # At least one section stays outer: the inner block costs n * M^k to build
 # and to augment, which must stay small against the scan's (n + 1) * M^L.
 _INNER_COLS = 4096
-# Bytes of kernel values per row tile: small enough that a tile, the
-# augmented block and the residual rows stay in L2 (2 MiB per core on the
-# machine this was tuned on, where 256 KiB measured fastest).
+# Bytes of float32 kernel values per row tile: small enough that a tile,
+# the augmented block and the residual rows stay in L2 (2 MiB per core on
+# the machine this was tuned on, where 256 KiB measured fastest).
 _TILE_BYTES = 1 << 18
+# Multiply-adds per tile product. OpenBLAS runs products of at most 10^6
+# through its unpacked single-thread small-matrix kernel; on the machine
+# this was tuned on that was 2x faster per candidate for a 229 x 17 x 256
+# tile than the packed, threaded path took for 256 x 17 x 256.
+_TILE_MACS = 10 ** 6
+# Codewords per batched exact rescore: bounds the rescore's memory to
+# _SCORE_CHUNK * n float64 however many candidates tie.
+_SCORE_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -105,19 +121,35 @@ def _gate(matrix: DesignMatrix, source: np.ndarray) -> Optional[EncodeResult]:
     return None
 
 
-def _exact_sq(matrix: DesignMatrix, source: np.ndarray, rank: int) -> float:
-    """||source - codeword(rank)||^2 with the codeword freshly synthesized:
-    the one scorer behind the search's decision, the oracle and the
-    reported distortion."""
+def _exact_sq(matrix: DesignMatrix, source: np.ndarray,
+              ranks: np.ndarray) -> np.ndarray:
+    """||source - codeword(rank)||^2 for each rank, the one scorer behind
+    the search's decision, the oracle and the reported distortion.
+
+    Each codeword is accumulated as synthesize does: the selected columns
+    added elementwise in section order, then scaled by c. Each error
+    vector's squared norm is a stacked (1, n) @ (n, 1) product, which
+    numpy evaluates with the same dot product as e @ e, so every value
+    equals float(e @ e) on source - synthesize(beta_unrank(rank)) bit for
+    bit (tests check this)."""
     p = matrix.params
-    e = source - synthesize(matrix, beta_unrank(rank, p.L, p.M))
-    return float(e @ e)
+    columns = np.ascontiguousarray(matrix.entries.T)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    cw = columns[ranks % p.M]
+    for l in range(1, p.L):
+        cw += columns[l * p.M + ranks // p.M ** l % p.M]
+    cw *= p.c
+    e = np.subtract(source, cw, out=cw)
+    return (e[:, None, :] @ e[:, :, None]).reshape(-1)
 
 
 def _section_sums(matrix: DesignMatrix, lo: int, hi: int) -> np.ndarray:
     """Column sums over sections lo..hi-1, one column per rank of those
     sections (section lo least significant). Each sum adds its sections in
-    increasing order, as synthesize does."""
+    increasing order, as synthesize does. An empty range gives the single
+    zero column."""
+    if lo == hi:
+        return np.zeros((matrix.params.n, 1))
     M = matrix.params.M
     block = matrix.section(lo)
     for l in range(lo + 1, hi):
@@ -128,80 +160,153 @@ def _section_sums(matrix: DesignMatrix, lo: int, hi: int) -> np.ndarray:
     return block
 
 
-def _kernel_tol(matrix: DesignMatrix, source: np.ndarray) -> float:
-    """Uniform bound on |kernel value - _exact_sq| over all codewords.
+def _kernel_tol(matrix: DesignMatrix, source: np.ndarray) -> Tuple[float, float]:
+    """Power-of-two scale for the kernel's inputs, and a uniform bound on
+    |kernel value - scale^2 _exact_sq| over all codewords, in scaled units.
 
     Every codeword error s - c sum_l a_l has norm at most
     Lam = ||s|| + c sum_l max_j ||a_lj|| (Cauchy-Schwarz bounds every dot
-    product by norms). With unit roundoff u, the section sums, scalings
-    and subtractions of either evaluation move the error vector by at most
-    (L + 1) u Lam, the length-(n + 1) augmented product, its |x|^2 row and
-    the added |r|^2 cost (3n + 5) u Lam^2, and the scorer's dot product
-    n u Lam^2: (4n + 4L + 9) u Lam^2 to first order. The returned bound is
-    four times that, which covers the higher-order terms and the rounding
-    of Lam and of the rescore limit."""
+    product by norms). The scale is the power of two 2^-e with
+    Lam = m 2^e, m in [1/2, 1), so the scaled Lam' = m: multiplying by it
+    is exact in float64 (bar float64 underflow, whose error is far below
+    tau below), and every scaled quantity the kernel forms (the
+    residual rows, -2c x, c^2 |x|^2 and their product, all bounded by
+    4 Lam'^2 < 4) can neither overflow float32 nor fall below it except
+    where its contribution is absolutely tiny.
+
+    Let u = 2^-24 bound the unit roundoff of every operation, float64
+    included, and tau = 2^-126 (the smallest normal float32) the absolute
+    error of any float32 operation or cast whose result underflows, with
+    or without flush to zero. To first order in u:
+    - the float64 section sums, scalings and subtractions round L + 2
+      times on the kernel's way to r - c x (the outer terms s - c slow
+      and c fast are formed apart) and L + 1 times in the scorer, each
+      moving an error vector of norm at most Lam' by at most u Lam', and
+      its square by 2 u Lam'^2: 4L + 6;
+    - the scorer's dot product: n;
+    - |r|^2 in float64 and its addition to the float32 row value: n + 1;
+    - rounding r and c x to float32 moves the cross term 2c r.x by
+      4 u Lam'^2, and c^2 |x|^2, computed in float64 and rounded to
+      float32, moves by (n + 2) u Lam'^2: n + 6;
+    - the length-(n + 1) float32 product sums terms whose magnitudes total
+      at most 3 Lam'^2: 3 (n + 1).
+    That is (6n + 4L + 16) u Lam'^2. Underflow adds at most tau per
+    float32 cast of the 2n + 1 inputs that reach a kernel value (times a
+    factor below 2, the other factor's bound) and per operation of the
+    product: (6n + 2) tau. The returned bound is four times the sum,
+    which covers the higher-order terms and the rounding of Lam and of
+    the rescore limit."""
     p = matrix.params
     col_norms = np.sqrt(np.einsum("ij,ij->j", matrix.entries, matrix.entries))
     lam = math.sqrt(float(source @ source)) \
         + p.c * float(col_norms.reshape(p.L, p.M).max(axis=1).sum())
-    u = np.finfo(float).eps / 2.0
-    return 4.0 * (4 * (p.n + p.L) + 9) * u * lam * lam
+    if not math.isfinite(lam):
+        raise ValueError("design matrix holds non-finite entries")
+    mant, exp = math.frexp(lam)
+    u, tau = 2.0 ** -24, 2.0 ** -126
+    tol = 4.0 * ((6 * p.n + 4 * p.L + 16) * u * mant * mant
+                 + (6 * p.n + 2) * tau)
+    return math.ldexp(1.0, -exp), tol
 
 
-def _scan_rows(resid: np.ndarray, aug: np.ndarray) -> np.ndarray:
-    """Row minima of resid @ aug, one L2-sized row tile at a time."""
-    rows, width = resid.shape[0], aug.shape[1]
-    rowmin = np.empty(rows)
-    step = max(1, _TILE_BYTES // (8 * width))
-    buf = np.empty((min(step, rows), width))
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        tile = buf[:stop - start]
-        np.matmul(resid[start:stop], aug, out=tile)
-        np.minimum.reduce(tile, axis=1, out=rowmin[start:stop])
-    return rowmin
+class _Plan:
+    """One search's float32 kernel inputs, scaled by the power of two from
+    _kernel_tol.
+
+    The first k sections form the inner block of M^k column sums x, the
+    rest the outer ranks, rank = outer * width + inner. The outer section
+    sums are kept as two factors: fast, over sections k..L-2 (or none),
+    and slow, over the last section, so outer rank j * len(fast) + i has
+    the residual row r = (s - c slow[j]) - c fast[i]. The plan stores
+    those two scaled terms and builds residual rows only for the outer
+    ranks a caller asks for."""
+
+    def __init__(self, matrix: DesignMatrix, source: np.ndarray):
+        p = matrix.params
+        n, L, M = p.n, p.L, p.M
+        self.scale, self.tol = _kernel_tol(matrix, source)
+        cs = p.c * self.scale
+        k = 1
+        while k + 1 < L and M ** (k + 1) <= _INNER_COLS:
+            k += 1
+        cx = _section_sums(matrix, 0, k) * cs
+        self.width = cx.shape[1]
+        # augmented inner block: -2c x above c^2 |x|^2, so that the row
+        # [r, 1] times it gives c^2 |x|^2 - 2c r.x
+        self.aug = np.empty((n + 1, self.width), dtype=np.float32)
+        np.multiply(cx, -2.0, out=self.aug[:n])
+        self.aug[n] = np.einsum("ij,ij->j", cx, cx)
+        h = max(k, L - 1)
+        # one row per rank: C order keeps each residual row contiguous
+        self.fast = np.multiply(_section_sums(matrix, k, h).T, cs, order="C")
+        self.slow = np.subtract(source * self.scale,
+                                _section_sums(matrix, h, L).T * cs, order="C")
+        self.rows = len(self.fast) * len(self.slow)
+        # kernel rows per tile, and residual rows per chunk built at once,
+        # within _TILE_BYTES of float64
+        self.step = max(1, min(_TILE_BYTES // (4 * self.width),
+                               _TILE_MACS // ((n + 1) * self.width)))
+        self.chunk = max(1, _TILE_BYTES // (8 * n))
+
+    def residuals(self, outer: np.ndarray) -> np.ndarray:
+        """Residual rows of the given outer ranks."""
+        fast_rows = len(self.fast)
+        return self.slow[outer // fast_rows] - self.fast[outer % fast_rows]
+
+
+def _augmented(resid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The float32 rows [r, 1] of residual rows r, and |r|^2 in float64."""
+    lhs = np.ones((resid.shape[0], resid.shape[1] + 1), dtype=np.float32)
+    lhs[:, :-1] = resid
+    return lhs, np.einsum("ij,ij->i", resid, resid)
+
+
+def _scan_rows(plan: _Plan) -> np.ndarray:
+    """Minimum kernel value c^2 |x|^2 - 2c r.x + |r|^2 of every outer rank.
+
+    Residual rows are built a chunk of consecutive outer ranks at a time:
+    part of one block of the last section, or whole blocks. Each tile of
+    the chunk's float32 kernel values is reduced in place."""
+    fast_rows, slow_rows = len(plan.fast), len(plan.slow)
+    part = min(fast_rows, plan.chunk)
+    blocks = max(1, plan.chunk // fast_rows)
+    rowmin = np.empty(plan.rows, dtype=np.float32)
+    resid_sq = np.empty(plan.rows)
+    out = np.empty((min(plan.step, plan.rows), plan.width), dtype=np.float32)
+    for j in range(0, slow_rows, blocks):
+        for i in range(0, fast_rows, part):
+            resid = plan.slow[j:j + blocks, None] - plan.fast[None, i:i + part]
+            resid = resid.reshape(-1, plan.fast.shape[1])
+            lo = j * fast_rows + i
+            lhs, resid_sq[lo:lo + len(resid)] = _augmented(resid)
+            for start in range(0, len(resid), plan.step):
+                stop = min(start + plan.step, len(resid))
+                tile = out[:stop - start]
+                np.matmul(lhs[start:stop], plan.aug, out=tile)
+                np.minimum.reduce(tile, axis=1, out=rowmin[lo + start:lo + stop])
+    return rowmin + resid_sq
 
 
 def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
     """Rank of the distance-minimizing codeword (smallest rank on ties)
     and its exact squared distance _exact_sq (unnormalized)."""
-    p = matrix.params
-    n, L, M, c = p.n, p.L, p.M, p.c
-
-    k = 1
-    while k + 1 < L and M ** (k + 1) <= _INNER_COLS:
-        k += 1
-    inner = _section_sums(matrix, 0, k)
-    width = inner.shape[1]
-    aug = np.empty((n + 1, width))
-    np.multiply(inner, -2.0 * c, out=aug[:n])
-    aug[n] = (c * c) * np.einsum("ij,ij->j", inner, inner)
-
-    # outer ranks over sections k..L-1 as rows; rank = row * width + column
-    outer = np.zeros((1, n)) if k == L else _section_sums(matrix, k, L).T
-    rows = outer.shape[0]
-    resid = np.empty((rows, n + 1))
-    np.subtract(source, c * outer, out=resid[:, :n])
-    resid[:, n] = 1.0
-    resid_sq = np.einsum("ij,ij->i", resid[:, :n], resid[:, :n])
-
-    tol = _kernel_tol(matrix, source)
-    if not math.isfinite(tol):
-        raise ValueError("design matrix holds non-finite entries")
-
-    rowmin = _scan_rows(resid, aug)
-    rowmin += resid_sq
-
-    limit = float(rowmin.min()) + 2.0 * tol
+    plan = _Plan(matrix, source)
+    rowmin = _scan_rows(plan)
+    limit = float(rowmin.min()) + 2.0 * plan.tol
     best_rank, best = -1, math.inf
-    # rows, then columns, ascending: ranks are visited in increasing order
-    for i in np.flatnonzero(rowmin <= limit):
-        values = resid[i] @ aug + resid_sq[i]
-        for j in np.flatnonzero(values <= limit):
-            rank = int(i) * width + int(j)
-            d = _exact_sq(matrix, source, rank)
-            if d < best:
-                best_rank, best = rank, d
+    window = np.flatnonzero(rowmin <= limit)
+    # window rows, then columns, ascending: ranks are visited in
+    # increasing order, so the first exact minimum has the smallest rank
+    for start in range(0, len(window), plan.step):
+        outer = window[start:start + plan.step]
+        lhs, resid_sq = _augmented(plan.residuals(outer))
+        i, j = np.nonzero(lhs @ plan.aug + resid_sq[:, None] <= limit)
+        ranks = outer[i] * plan.width + j
+        for lo in range(0, len(ranks), _SCORE_CHUNK):
+            scores = _exact_sq(matrix, source, ranks[lo:lo + _SCORE_CHUNK])
+            at = int(np.argmin(scores))
+            if scores[at] < best:
+                best_rank, best = int(ranks[lo + at]), float(scores[at])
     return best_rank, best
 
 
@@ -225,7 +330,8 @@ def encode_min_distance(matrix: DesignMatrix, source) -> EncodeResult:
 
 def encode_oracle(matrix: DesignMatrix, source) -> EncodeResult:
     """Same contract as encode_min_distance, by scoring every codeword
-    with the exact scorer in rank order. Test oracle only."""
+    with the exact scorer in rank order, _SCORE_CHUNK ranks at a time.
+    Test oracle only."""
     source = _check_source(matrix, source)
     p = matrix.params
     if p.n_codewords > ORACLE_CAP:
@@ -234,11 +340,13 @@ def encode_oracle(matrix: DesignMatrix, source) -> EncodeResult:
     gated = _gate(matrix, source)
     if gated is not None:
         return gated
-    best_rank, best = 0, np.inf
-    for rank in range(p.n_codewords):
-        d = _exact_sq(matrix, source, rank)
-        if d < best:
-            best_rank, best = rank, d
+    best_rank, best = 0, math.inf
+    for lo in range(0, p.n_codewords, _SCORE_CHUNK):
+        scores = _exact_sq(matrix, source,
+                           np.arange(lo, min(lo + _SCORE_CHUNK, p.n_codewords)))
+        at = int(np.argmin(scores))
+        if scores[at] < best:
+            best_rank, best = lo + at, float(scores[at])
     return EncodeResult(STATUS_OK, beta_unrank(best_rank, p.L, p.M), best / p.n)
 
 

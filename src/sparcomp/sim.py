@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import beta as beta_dist
 from scipy.stats import ncx2, norm
 
-from . import theory
+from . import encoder, theory
 from .core import SparcParams, build_design_matrix
 from .encoder import (
     STATUS_OK,
@@ -417,10 +417,10 @@ def validate_bounds(params: SparcParams, z2: float, n_matrices: int,
     second-moment and correlation-inequality bounds fed by Monte Carlo
     estimates of the coverage probabilities. Within-bound flags use a
     3-standard-error allowance on the empirical side."""
-    if params.n_codewords > 10 ** 5:
+    if params.n_codewords > encoder.ORACLE_CAP:
         raise ValueError(
-            f"codebook holds {params.n_codewords} candidates; bound validation "
-            "is capped at 1e5")
+            f"codebook holds {params.n_codewords} candidates > cap "
+            f"{encoder.ORACLE_CAP}")
     if n_matrices < 1:
         raise ValueError(f"need n_matrices >= 1, got {n_matrices}")
     if not 0 < z2:

@@ -130,14 +130,16 @@ def a_squared(R: float, D: float) -> float:
 
 def optimal_error_exponent(R: float, D: float, sigma2: float) -> float:
     """Best possible exponent of P(distortion > D) at rate R for the
-    Gaussian source: (1/2)(v - 1 - ln v) with v = D e^{2R} / sigma2,
-    zero at and below the Shannon rate."""
+    Gaussian source: cramer_source_exponent(D e^{2R}, sigma2), that is
+    (1/2)(v - 1 - ln v) with v = D e^{2R} / sigma2, zero at and below the
+    Shannon rate."""
     if sigma2 <= 0 or D <= 0 or R < 0:
         raise ValueError(f"bad domain: R={R}, D={D}, sigma2={sigma2}")
     if D >= sigma2 or R <= rate_distortion_gaussian(sigma2, D):
         return 0.0
-    v = D * math.exp(2.0 * R) / sigma2
-    return 0.5 * (v - 1.0 - math.log(v))
+    # just above the rate boundary D e^{2R} may round below sigma2, where
+    # the exponent is 0 (cramer_source_exponent rejects a2 < sigma2)
+    return cramer_source_exponent(max(D * math.exp(2.0 * R), sigma2), sigma2)
 
 
 def sparc_error_exponent(R: float, D: float, sigma2: float) -> float:
@@ -149,8 +151,8 @@ def sparc_error_exponent(R: float, D: float, sigma2: float) -> float:
         raise ValueError(f"bad domain: R={R}, D={D}, sigma2={sigma2}")
     if D >= sigma2 or R <= sparc_rate(sigma2, D):
         return 0.0
-    v = a_squared(R, D) / sigma2
-    return 0.5 * (v - 1.0 - math.log(v))
+    # as in optimal_error_exponent, a_squared may round below sigma2
+    return cramer_source_exponent(max(a_squared(R, D), sigma2), sigma2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Exhaustive nearest-codeword search: gating, optimality against a fresh
-brute-force oracle, tie-break determinism, codebook monotonicity and the
-tiled kernel."""
+brute-force oracle, tie-break determinism, codebook monotonicity, the
+float32 tiled kernel and the batched exact scorer."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparcomp import encoder
@@ -300,3 +301,155 @@ def test_encode_beats_arbitrary_rank(inst_seed):
     rank = int(rng.integers(0, p.n_codewords))
     other = sample_power(source - synthesize(mt, beta_unrank(rank, p.L, p.M)))
     assert res.distortion <= other + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# float32 kernel window, streamed tiles and the batched exact scorer
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 14, 16, 33])
+def test_batched_scorer_equals_per_codeword_dot(n):
+    p = make_params(n, 3, 8, 1.0, 0.5, rho2=2.0, seed=n, allow_low_rate=True)
+    mt = build_design_matrix(p)
+    rng = _rng(n)
+    source = rng.normal(size=n)
+    ranks = rng.integers(0, p.n_codewords, size=2000)
+    scores = encoder._exact_sq(mt, source, ranks)
+    for rank, score in zip(ranks, scores):
+        e = source - synthesize(mt, beta_unrank(int(rank), p.L, p.M))
+        assert score == float(e @ e)
+
+
+def test_identical_columns_tie_en_masse_quickly():
+    # every one of the 262,144 codewords ties, so all of them fall in the
+    # rescore window; the batched rescore keeps that well under a second
+    p = make_params(12, 3, 64, 1.0, 0.5, seed=0)
+    col = np.linspace(-1.0, 1.0, p.n)
+    mt = DesignMatrix(p, np.tile(col[:, None], (1, p.n_columns)))
+    source = col * np.sqrt((p.D + p.rho2) / 2 / sample_power(col))
+    start = time.perf_counter()
+    res = encode_min_distance(mt, source)
+    assert time.perf_counter() - start < 1.0
+    assert res.beta == BetaVector((0, 0, 0))
+    assert res == encode_oracle(mt, source)
+
+
+def _unscaled_tol(matrix, source):
+    scale, tol = encoder._kernel_tol(matrix, source)
+    return tol / scale ** 2
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(0, 63),
+       st.integers(0, 63), st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_float32_near_ties_match_oracle(seed, r1, r2, k):
+    # shift the midpoint of two codewords towards one of them so that their
+    # exact distances differ by 2^-k of the float32 window: distinct in
+    # float64, but no float32 kernel value can tell them apart
+    assume(r1 != r2)
+    p = make_params(6, 3, 4, 1.0, 0.5, seed=seed)
+    mt = DesignMatrix(replace(p, D=0.0), build_design_matrix(p).entries)
+    w1 = synthesize(mt, beta_unrank(r1, p.L, p.M))
+    w2 = synthesize(mt, beta_unrank(r2, p.L, p.M))
+    delta = w2 - w1
+    gap = _unscaled_tol(mt, 0.5 * (w1 + w2)) * 2.0 ** -k
+    source = 0.5 * (w1 + w2) + gap / (2.0 * float(delta @ delta)) * delta
+    d1, d2 = encoder._exact_sq(mt, source, np.array([r1, r2]))
+    assert 0.0 < abs(d1 - d2) < _unscaled_tol(mt, source)
+    fast = encode_min_distance(mt, source)
+    slow = encode_oracle(mt, source)
+    assert fast.beta == slow.beta
+    assert fast.distortion == slow.distortion
+
+
+@given(st.integers(min_value=0, max_value=2**32),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                min_size=1, max_size=6),
+       st.integers(12, 45))
+@settings(max_examples=100, deadline=None)
+def test_near_duplicate_columns_match_oracle(seed, copies, k):
+    # columns copied with a relative perturbation of 2^-k make families of
+    # codewords closer than the float32 window yet distinct in float64
+    p = make_params(6, 3, 4, 1.0, 0.5, seed=seed)
+    entries = build_design_matrix(p).entries.copy()
+    rng = _rng(seed)
+    for src, dst in copies:
+        entries[:, dst] = entries[:, src] * (1.0 + 2.0 ** -k * rng.normal(size=p.n))
+    mt = DesignMatrix(p, entries)
+    word = synthesize(mt, beta_unrank(int(rng.integers(0, p.n_codewords)), p.L, p.M))
+    source = word + 0.1 * rng.normal(size=p.n)
+    if not p.D <= sample_power(source) < p.rho2:
+        source = _scaled_source(rng, p)
+    fast = encode_min_distance(mt, source)
+    slow = encode_oracle(mt, source)
+    assert fast.beta == slow.beta
+    assert fast.distortion == slow.distortion
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 100, 2.0 ** -100])
+def test_extreme_scales_match_oracle(scale):
+    # squared distances near 2^+-200 would overflow or underflow float32
+    # without the kernel's power-of-two scaling; scaling the design and the
+    # source by a power of two scales every exact distance exactly, so the
+    # answer is the unscaled one
+    rng = _rng(7)
+    for trial in range(10):
+        p = replace(make_params(8, 3, 4, 1.0, 0.5, seed=500 + trial),
+                    D=0.0, rho2=np.inf)
+        base = build_design_matrix(p)
+        source = rng.normal(size=p.n)
+        mt = DesignMatrix(p, base.entries * scale)
+        fast = encode_min_distance(mt, source * scale)
+        assert fast == encode_oracle(mt, source * scale)
+        plain = encode_oracle(base, source)
+        assert fast.beta == plain.beta
+        assert fast.distortion == plain.distortion * scale ** 2
+
+
+@pytest.mark.parametrize("n, L, M, inner_cols, tile_rows", [
+    (4, 1, 64, 4096, 1),     # L = 1, so k == L: one zero outer row
+    (6, 2, 16, 4096, 3),     # k == L - 1: chunks of 4 one-row blocks, tiles 3 + 1
+    (6, 3, 16, 256, 3),      # k == L - 1: one 16-row chunk, six tiles
+    (6, 4, 4, 4, 9),         # 3 outer sections: 3-row chunks inside 16-row blocks
+    (3, 4, 16, 16, 2),       # 3 outer sections: 5-row chunks, tiles 2 + 2 + 1
+    (3, 4, 4, 4, 48),        # 3 outer sections: chunks of two 16-row blocks
+])
+@pytest.mark.parametrize("bound", ["bytes", "macs"])
+def test_streamed_tiles_match_oracle(monkeypatch, n, L, M, inner_cols,
+                                     tile_rows, bound):
+    # the tile rows are set either by the bytes of kernel values or by
+    # the multiply-adds of the tile's product; the comments above give
+    # the chunks of the bytes case, the macs case has chunks 8 times larger
+    monkeypatch.setattr(encoder, "_INNER_COLS", inner_cols)
+    width = M ** max(1, min(L - 1, int(np.log(inner_cols) / np.log(M))))
+    monkeypatch.setattr(encoder, "_TILE_BYTES", 4 * width * tile_rows)
+    if bound == "macs":
+        monkeypatch.setattr(encoder, "_TILE_MACS", (n + 1) * width * tile_rows)
+        monkeypatch.setattr(encoder, "_TILE_BYTES", 4 * width * tile_rows * 8)
+    fast_rows = M ** (L - 1) // width if L > 1 else 1
+    chunk = encoder._TILE_BYTES // (8 * n)
+    rng = _rng(n * 100 + L)
+    for trial in range(12):
+        p = make_params(n, L, M, 1.0, 0.5, seed=700 + trial)
+        mt = build_design_matrix(p)
+        plan = encoder._Plan(mt, np.zeros(p.n))
+        assert (plan.width, plan.step) == (width, tile_rows)
+        assert (len(plan.fast), plan.chunk) == (fast_rows, chunk)
+        source = _scaled_source(rng, p)
+        assert encode_min_distance(mt, source) == encode_oracle(mt, source)
+
+
+@pytest.mark.parametrize("n, L, M", [(8, 3, 4), (6, 3, 16), (14, 2, 64),
+                                     (12, 3, 16)])
+def test_kernel_error_within_tolerance(n, L, M):
+    rng = _rng(n + L + M)
+    for trial in range(5):
+        p = make_params(n, L, M, 1.0, 0.5, seed=trial)
+        mt = build_design_matrix(p)
+        source = rng.normal(size=n)
+        plan = encoder._Plan(mt, source)
+        lhs, resid_sq = encoder._augmented(plan.residuals(np.arange(plan.rows)))
+        kernel = lhs @ plan.aug + resid_sq[:, None]
+        exact = encoder._exact_sq(mt, source, np.arange(p.n_codewords))
+        exact = exact.reshape(plan.rows, plan.width) * plan.scale ** 2
+        assert np.abs(kernel - exact).max() <= plan.tol

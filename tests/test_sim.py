@@ -288,6 +288,25 @@ def test_validate_bounds_counts_distortion_equal_to_D_as_covered(monkeypatch):
     assert check.empirical_p == 0.0
 
 
+def test_validate_bounds_cap_is_the_oracle_cap(monkeypatch):
+    # one cap guards the exhaustive all_distortions path: a codebook of
+    # exactly ORACLE_CAP codewords is validated, one codeword more is not
+    params = make_params(12, 3, 4, 1.0, 0.7, seed=5)
+    monkeypatch.setattr(sp.encoder, "ORACLE_CAP", params.n_codewords)
+    validate_bounds(params, 0.8, 2, n_prob_samples=1000, seed=1)
+    monkeypatch.setattr(sp.encoder, "ORACLE_CAP", params.n_codewords - 1)
+    with pytest.raises(ValueError, match="> cap 63"):
+        validate_bounds(params, 0.8, 2, n_prob_samples=1000, seed=1)
+
+
+def test_validate_bounds_accepts_codebooks_up_to_the_oracle_cap():
+    # 320^2 = 102,400 codewords: above the former 1e5 limit of
+    # validate_bounds, within encoder.ORACLE_CAP
+    params = make_params(4, 2, 320, 1.0, 0.5, seed=2)
+    check = validate_bounds(params, 0.8, 1, n_prob_samples=1000, seed=1)
+    assert check.n_matrices == 1
+
+
 # ---------------------------------------------------------------------------
 # robustness driver
 # ---------------------------------------------------------------------------

@@ -107,6 +107,15 @@ def test_cramer_zero_at_variance():
     assert th.cramer_source_exponent(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_optimal_exponent_where_a2_rounds_below_sigma2():
+    # one ulp above the Shannon rate, D e^{2R} rounds below sigma2; the
+    # exponent is 0 there, not a domain error of cramer_source_exponent
+    D = 0.38062531265632815
+    R = math.nextafter(th.rate_distortion_gaussian(1.0, D), math.inf)
+    assert D * math.exp(2.0 * R) < 1.0
+    assert th.optimal_error_exponent(R, D, 1.0) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # single-codeword rate function f and its Chernoff oracle
 # ---------------------------------------------------------------------------
