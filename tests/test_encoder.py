@@ -453,3 +453,14 @@ def test_kernel_error_within_tolerance(n, L, M):
         exact = encoder._exact_sq(mt, source, np.arange(p.n_codewords))
         exact = exact.reshape(plan.rows, plan.width) * plan.scale ** 2
         assert np.abs(kernel - exact).max() <= plan.tol
+
+
+def test_kernel_buffers_start_on_a_cache_line():
+    for shape in [(1, 1), (3, 5), (15, 4096), (17, 256)]:
+        buf = encoder._aligned_empty(shape)
+        assert buf.shape == shape and buf.dtype == np.float32
+        assert buf.flags.c_contiguous and buf.flags.writeable
+        assert buf.ctypes.data % encoder._ALIGN == 0
+    p = make_params(6, 3, 16, 1.0, 0.5, seed=1)
+    plan = encoder._Plan(build_design_matrix(p), np.zeros(p.n))
+    assert plan.aug.ctypes.data % encoder._ALIGN == 0
