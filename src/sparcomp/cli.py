@@ -2,9 +2,11 @@
 orchestration, emitting CSV/JSON for plotting.
 
 Every output file starts with a metadata block that records the package
-version, the resolved configuration, its sha256 and the seed; identical
-invocations produce byte-identical files. main times each subcommand once
-and writes that wall clock to stderr only.
+version, the config block (every parsed flag value except --config and
+the output paths), its sha256 and the seed. Identical invocations produce
+byte-identical files, and the config block fed back through --config
+reproduces the file. main times each subcommand once and writes that wall
+clock to stderr only.
 
 Exit codes: 0 success, 2 configuration error, 3 check-mode breach.
 All rates are computed in nats; --bits converts displayed rate columns only.
@@ -19,7 +21,7 @@ import math
 import os
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,20 +36,19 @@ EXIT_CHECK_FAILED = 3
 LN2 = math.log(2.0)
 
 
-def _config_blob(config: dict) -> str:
-    return json.dumps(config, sort_keys=True, separators=(",", ":"))
+# parsed names outside the config block: the dispatch target, the option
+# file and the output destinations, so that --out a and --out b write the
+# same bytes
+_NOT_CONFIG = ("func", "config", "out", "trial_log")
 
 
-def _metadata_lines(config: dict) -> List[str]:
-    blob = _config_blob(config)
-    digest = hashlib.sha256(blob.encode()).hexdigest()
-    return [
-        f"# sparcomp {__version__}",
-        f"# config: {blob}",
-        f"# config_sha256: {digest}",
-        f"# seed: {config.get('seed', 0)}",
-        "# kappa_terms: 0",
-    ]
+def _metadata(args) -> Tuple[dict, str, str]:
+    """The config block (every other parsed flag value), its canonical JSON
+    and that JSON's sha256. Fed back through --config, the block reproduces
+    the artifact."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return config, blob, hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -58,22 +59,25 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _csv_document(config: dict, header: str, rows: Sequence[str],
+def _csv_document(args, header: str, rows: Sequence[str],
                   extra_blocks: Sequence[str] = ()) -> str:
-    lines = _metadata_lines(config) + [header] + list(rows)
+    _, blob, digest = _metadata(args)
+    lines = [f"# sparcomp {__version__}", f"# config: {blob}",
+             f"# config_sha256: {digest}", f"# seed: {args.seed}",
+             "# kappa_terms: 0", header, *rows]
     for block in extra_blocks:
         lines.append("")
         lines.append(block.rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 
-def _json_document(config: dict, payload: dict) -> str:
-    blob = _config_blob(config)
+def _json_document(args, payload: dict) -> str:
+    config, _, digest = _metadata(args)
     doc = {
         "meta": {
             "tool": f"sparcomp {__version__}",
             "config": config,
-            "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+            "config_sha256": digest,
             "kappa_terms": 0,
         },
         **payload,
@@ -81,14 +85,18 @@ def _json_document(config: dict, payload: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _add_params_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, required=True, help="block length")
-    sub.add_argument("--L", type=int, required=True, help="number of sections")
-    sub.add_argument("--M", type=int, required=True, help="columns per section")
+def _add_codebook_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--sigma2", type=float, default=1.0, help="source variance")
     sub.add_argument("--D", type=float, required=True, help="target distortion")
     sub.add_argument("--rho2", type=float, default=None,
                      help="variance threshold (default: midpoint of the window)")
+
+
+def _add_params_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--n", type=int, required=True, help="block length")
+    sub.add_argument("--L", type=int, required=True, help="number of sections")
+    sub.add_argument("--M", type=int, required=True, help="columns per section")
+    _add_codebook_flags(sub)
     sub.add_argument("--allow-low-rate", action="store_true",
                      help="accept R below the covering rate (needs explicit --rho2)")
 
@@ -96,14 +104,7 @@ def _add_params_flags(sub: argparse.ArgumentParser) -> None:
 def _params_from_args(args) -> "sparcomp.core.SparcParams":
     return make_params(args.n, args.L, args.M, args.sigma2, args.D,
                        rho2=args.rho2, seed=args.seed,
-                       allow_low_rate=getattr(args, "allow_low_rate", False))
-
-
-def _params_config(args) -> dict:
-    return {
-        "n": args.n, "L": args.L, "M": args.M, "sigma2": args.sigma2,
-        "D": args.D, "rho2": args.rho2, "seed": args.seed,
-    }
+                       allow_low_rate=args.allow_low_rate)
 
 
 def _model_from_args(kind: str, args) -> SourceModel:
@@ -127,11 +128,6 @@ def cmd_curve(args) -> int:
     if not (0.0 < args.d_min < args.d_max < 1.0):
         raise ValueError("need 0 < --d-min < --d-max < 1")
     ratios = sorted(set(float(d) for d in grid) | {x_star})
-    config = {
-        "subcommand": "curve", "points": args.points, "d_min": args.d_min,
-        "d_max": args.d_max, "sigma2": args.sigma2, "units": "bits" if args.bits else "nats",
-        "seed": args.seed,
-    }
     rows = []
     for d in ratios:
         pt = theory.rate_point(args.sigma2, d)
@@ -143,11 +139,13 @@ def cmd_curve(args) -> int:
             branch = "linear"
         rows.append(f"{d:.12g},{_rate_disp(pt.r_shannon, args.bits):.12g},"
                     f"{_rate_disp(pt.r_sp, args.bits):.12g},{branch}")
-    _emit(_csv_document(config, "d_ratio,r_shannon,r_sp,branch", rows), args.out)
+    _emit(_csv_document(args, "d_ratio,r_shannon,r_sp,branch", rows), args.out)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
+    if args.z2_count < 1:
+        raise ValueError("--z2-count must be at least 1")
     params = _params_from_args(args)
     if args.z2 is not None:
         z2_grid = [float(v) for v in args.z2.split(",")]
@@ -157,11 +155,6 @@ def cmd_bounds(args) -> int:
         if not params.D < z2 <= params.rho2:
             raise ValueError(f"z2 grid value {z2} outside (D, rho2] = "
                              f"({params.D}, {params.rho2}]")
-    config = {
-        "subcommand": "bounds", **_params_config(args),
-        "z2_grid": [round(z, 12) for z in z2_grid],
-        "units": "bits" if args.bits else "nats", "seed": args.seed,
-    }
     bmin_rd = theory.b_min(params.R, params.D, params.rho2, "rd")
     bmin_exp = theory.b_min(params.R, params.D, params.rho2, "exponent")
     alpha_ref = "alpha_table" if args.out is None else \
@@ -184,10 +177,10 @@ def cmd_bounds(args) -> int:
 
     header = "z2,f,g_at_rho2_alpha_table_ref,t_bound,b_min_rd,b_min_exp"
     if args.out is None:
-        _emit(_csv_document(config, header, rows, extra_blocks=[alpha_block]), None)
+        _emit(_csv_document(args, header, rows, extra_blocks=[alpha_block]), None)
     else:
-        _emit(_csv_document(config, header, rows), args.out)
-        _emit(_csv_document(config, "alpha,g_rho2,h_alpha", alpha_rows[1:]),
+        _emit(_csv_document(args, header, rows), args.out)
+        _emit(_csv_document(args, "alpha,g_rho2,h_alpha", alpha_rows[1:]),
               args.out + ".alpha.csv")
     return EXIT_OK
 
@@ -197,11 +190,6 @@ def cmd_suen(args) -> int:
     z2 = args.z2
     if not params.D < z2 <= params.rho2:
         raise ValueError(f"--z2 must lie in (D, rho2] = ({params.D}, {params.rho2}]")
-    config = {
-        "subcommand": "suen", **_params_config(args), "z2": z2,
-        "samples": args.samples, "matrices": args.matrices, "check": args.check,
-        "seed": args.seed,
-    }
     if args.check:
         check = sim.validate_bounds(params, z2, args.matrices,
                                     n_prob_samples=args.samples, seed=args.seed)
@@ -221,7 +209,7 @@ def cmd_suen(args) -> int:
             "within_second_moment": check.within_second_moment,
             "within_suen": check.within_suen,
         }
-        _emit(_json_document(config, payload), args.out)
+        _emit(_json_document(args, payload), args.out)
         if not (check.within_second_moment and check.within_suen):
             return EXIT_CHECK_FAILED
         return EXIT_OK
@@ -236,33 +224,27 @@ def cmd_suen(args) -> int:
     row = (f"{z2:.12g},{pU1.p:.12g},{pU1.se:.12g},{su.lam:.12g},{su.delta:.12g},"
            f"{su.Delta:.12g},{su.t1:.12g},{su.t2:.12g},{su.t3:.12g},"
            f"{su.bound:.12g},{sm:.12g}")
-    _emit(_csv_document(config, header, [row]), args.out)
+    _emit(_csv_document(args, header, [row]), args.out)
     return EXIT_OK
 
 
-def _trial_log_document(config: dict, report) -> str:
+def _trial_log_document(args, report) -> str:
     rows = []
     for t in report.trials:
         dist = "nan" if t.distortion is None else f"{t.distortion:.12g}"
         rows.append(f"{t.trial},{t.source_kind},{t.z2:.12g},{t.status},{dist},"
                     f"{str(t.success).lower()}")
-    return _csv_document(config, "trial,source_kind,z2,status,distortion,success", rows)
+    return _csv_document(args, "trial,source_kind,z2,status,distortion,success", rows)
 
 
 def cmd_simulate(args) -> int:
     params = _params_from_args(args)
     model = _model_from_args(args.model, args)
-    config = {
-        "subcommand": "simulate", **_params_config(args),
-        "model": model.label, "model_sigma2": model.sigma2,
-        "trials": args.trials, "fresh_matrix": not args.fixed_matrix,
-        "seed": args.seed,
-    }
     report = sim.run_experiment(params, model, args.trials, seed=args.seed,
                                 fresh_matrix=not args.fixed_matrix)
-    _emit(_json_document(config, {"report": report.to_dict()}), args.out)
+    _emit(_json_document(args, {"report": report.to_dict()}), args.out)
     if args.trial_log:
-        _emit(_trial_log_document(config, report), args.trial_log)
+        _emit(_trial_log_document(args, report), args.trial_log)
     scored = report.status_counts["ok"] * params.n_codewords
     print(f"simulate candidates scored: {scored}", file=sys.stderr)
     return EXIT_OK
@@ -272,11 +254,6 @@ def cmd_robustness(args) -> int:
     params = _params_from_args(args)
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
     models = [_model_from_args(k, args) for k in kinds]
-    config = {
-        "subcommand": "robustness", **_params_config(args),
-        "models": [m.label for m in models], "trials": args.trials,
-        "check": args.check, "seed": args.seed,
-    }
     result = sim.robustness_suite(params, models, args.trials, seed=args.seed)
     payload = {
         "baseline": result.baseline,
@@ -287,11 +264,11 @@ def cmd_robustness(args) -> int:
         },
         "within_band": dict(result.within_band),
     }
-    _emit(_json_document(config, payload), args.out)
+    _emit(_json_document(args, payload), args.out)
     if args.trial_log:
         for key, rep in result.reports.items():
             safe = key.replace("(", "_").replace(")", "").replace(".", "p")
-            _emit(_trial_log_document(config, rep), f"{args.trial_log}.{safe}.csv")
+            _emit(_trial_log_document(args, rep), f"{args.trial_log}.{safe}.csv")
     if args.check and not all(result.within_band.values()):
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -307,12 +284,6 @@ def cmd_exponent_trend(args) -> int:
     family = [make_params(n, L, M, args.sigma2, args.D, rho2=args.rho2,
                           seed=args.seed) for (n, L, M) in sizes]
     model = _model_from_args(args.model, args)
-    config = {
-        "subcommand": "exponent-trend", "sizes": [list(s) for s in sizes],
-        "sigma2": args.sigma2, "D": args.D, "rho2": args.rho2,
-        "model": model.label, "trials": args.trials, "check": args.check,
-        "seed": args.seed,
-    }
     trend = sim.exponent_trend(family, model, args.trials, seed=args.seed)
     payload = {
         "entries": [
@@ -325,7 +296,7 @@ def cmd_exponent_trend(args) -> int:
         "slope": trend.slope, "intercept": trend.intercept,
         "r_squared": trend.r_squared,
     }
-    _emit(_json_document(config, payload), args.out)
+    _emit(_json_document(args, payload), args.out)
     if args.check:
         exps = [e.exponent for e in trend.entries if e.exponent is not None]
         if any(b < a for a, b in zip(exps, exps[1:])):
@@ -420,9 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=sim.SOURCE_KINDS, default="gaussian_iid")
     p.add_argument("--sizes", type=str, required=True,
                    help="comma-separated n:L:M family sharing (R, D)")
-    p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--D", type=float, required=True)
-    p.add_argument("--rho2", type=float, default=None)
+    _add_codebook_flags(p)
     p.add_argument("--check", action="store_true",
                    help="exit 3 if the exponent sequence decreases")
     p.set_defaults(func=cmd_exponent_trend)
@@ -430,17 +399,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_file_flags(path: str) -> List[str]:
-    """Turn a JSON option file into an equivalent flag list. The flags are
-    inserted before the user's own, so explicitly passed flags win."""
+def _config_file_flags(path: str, subcommand: str) -> List[str]:
+    """Turn a JSON option file, such as an artifact's config block, into an
+    equivalent flag list. The flags are inserted before the user's own, so
+    explicitly passed flags win."""
     with open(path) as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise ValueError(f"config file {path!r} must hold a JSON object")
+    recorded = values.pop("subcommand", subcommand)
+    if recorded != subcommand:
+        raise ValueError(f"config file {path!r} is for {recorded!r}, "
+                         f"not {subcommand!r}")
     flags: List[str] = []
     for key in sorted(values):
-        if key in ("subcommand", "config"):
-            continue
         flag = "--" + key.replace("_", "-")
         value = values[key]
         if value is None:
@@ -465,7 +437,8 @@ def _merge_config_file(argv: List[str]) -> List[str]:
     sub_at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), None)
     if sub_at is None:
         return argv
-    return argv[:sub_at + 1] + _config_file_flags(path) + argv[sub_at + 1:]
+    flags = _config_file_flags(path, argv[sub_at])
+    return argv[:sub_at + 1] + flags + argv[sub_at + 1:]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

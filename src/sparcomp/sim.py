@@ -483,6 +483,9 @@ def robustness_suite(params: SparcParams, models: Sequence[SourceModel],
     |s|^2 <= sigma2 against the first model, with a joint 3-SE band."""
     if not models:
         raise ValueError("need at least one source model")
+    labels = [m.label for m in models]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"repeated source model in {labels}")
     for model in models:
         if model.sigma2 > params.sigma2:
             raise ValueError(

@@ -322,13 +322,88 @@ def test_exponent_trend_subcommand(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert [e["n"] for e in doc["entries"]] == [6, 9, 12]
-    assert doc["meta"]["config"]["sizes"] == [[6, 2, 16], [9, 3, 16], [12, 4, 16]]
+    assert doc["meta"]["config"]["sizes"] == "6:2:16,9:3:16,12:4:16"
 
 
 def test_exponent_trend_bad_sizes_exits_2(capsys):
     code, _, err = run_main(capsys, "exponent-trend", "--sizes", "6:2",
                             "--D", "0.9", "--trials", "5")
     assert code == EXIT_CONFIG and "n:L:M" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(BOUNDS_ARGS + ["--z2-count", "0"],
+                 "--z2-count must be at least 1", id="bounds_empty_grid"),
+    pytest.param(ROBUST_ARGS + ["--models", "gaussian_iid,gaussian_iid,uniform_iid"],
+                 "repeated source model", id="robustness_repeated_model"),
+])
+def test_out_of_range_option_exits_2(capsys, argv, message):
+    code, out, err = run_main(capsys, *argv)
+    assert code == EXIT_CONFIG and message in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [ROBUST_ARGS, TREND_ARGS])
+def test_model_sigma2_enters_config_sha256(capsys, argv):
+    digests = set()
+    for value in ("1.0", "0.5"):
+        code, out, _ = run_main(capsys, *argv, "--model-sigma2", value)
+        assert code == EXIT_OK
+        digests.add(json.loads(out)["meta"]["config_sha256"])
+    assert len(digests) == 2
+
+
+# ---------------------------------------------------------------------------
+# the config block reproduces its artifact
+# ---------------------------------------------------------------------------
+
+SUEN_ARGS = ["suen", "--n", "12", "--L", "3", "--M", "4", "--D", "0.7",
+             "--z2", "0.8", "--samples", "2000"]
+
+
+def config_block(text):
+    if text.startswith("{"):
+        return json.loads(text)["meta"]["config"]
+    line = next(l for l in text.splitlines() if l.startswith("# config: "))
+    return json.loads(line[len("# config: "):])
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["curve", "--points", "5", "--bits"], id="curve_bits"),
+    pytest.param(BOUNDS_ARGS + ["--z2", "0.8,1.0"], id="bounds_z2"),
+    pytest.param(BOUNDS_ARGS, id="bounds_default_grid"),
+    pytest.param(SUEN_ARGS, id="suen"),
+    pytest.param(SUEN_ARGS + ["--matrices", "20", "--check"], id="suen_check"),
+    pytest.param(SIM_ARGS + ["--model", "gauss_markov", "--phi", "0.7",
+                             "--fixed-matrix", "--model-sigma2", "0.9"],
+                 id="simulate"),
+    pytest.param(ROBUST_ARGS, id="robustness"),
+    pytest.param(TREND_ARGS, id="exponent_trend"),
+])
+def test_config_block_reproduces_artifact(tmp_path, capsys, argv):
+    # the replay gets only the recorded block and the same output names (a
+    # bounds row names its alpha file)
+    cfg = tmp_path / "cfg.json"
+    files = {}
+    for run in ("first", "replay"):
+        where = tmp_path / run
+        where.mkdir()
+        outputs = ["--out", str(where / "out")]
+        if argv[0] in ("simulate", "robustness"):
+            outputs += ["--trial-log", str(where / "log")]
+        if run == "replay":
+            cfg.write_text(json.dumps(config_block(files["first"]["out"].decode())))
+            argv = [argv[0], "--config", str(cfg)]
+        assert run_main(capsys, *argv, *outputs)[0] == EXIT_OK
+        files[run] = {p.name: p.read_bytes() for p in where.iterdir()}
+    assert files["replay"] == files["first"]
+
+
+def test_config_file_for_another_subcommand_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "simulate", "n": 12, "L": 3,
+                               "M": 4, "D": 0.7, "trials": 5}))
+    code, out, err = run_main(capsys, "robustness", "--config", str(cfg))
+    assert code == EXIT_CONFIG and "'simulate'" in err and out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -218,8 +218,9 @@ def test_duplicated_columns_match_oracle(seed, copies):
 
 
 def test_tiled_search_matches_oracle_across_tiles(monkeypatch):
-    # a one-section inner block and two-row tiles make the (8, 3, 4)
-    # search span 8 tiles
+    # a one-section inner block and a 64-byte tile budget build the 16
+    # residual rows of the (8, 3, 4) search one at a time (plan.chunk is 1),
+    # so it runs 16 one-row tiles
     monkeypatch.setattr(encoder, "_INNER_COLS", 4)
     monkeypatch.setattr(encoder, "_TILE_BYTES", 2 * 4 * 8)
     rng = _rng(101)
