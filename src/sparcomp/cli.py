@@ -8,7 +8,10 @@ byte-identical files, and the config block fed back through --config
 reproduces the file. main times each subcommand once and writes that wall
 clock to stderr only.
 
-Exit codes: 0 success, 2 configuration error, 3 check-mode breach.
+Exit codes: 0 success, 2 configuration error, 3 check-mode breach. A
+flag that the run would ignore is a configuration error unless it holds
+its default: --phi without a gauss_markov model, suen --matrices without
+--check, bounds --z2-count with --z2.
 All rates are computed in nats; --bits converts displayed rate columns only.
 """
 
@@ -34,6 +37,11 @@ EXIT_CONFIG = 2
 EXIT_CHECK_FAILED = 3
 
 LN2 = math.log(2.0)
+
+# defaults of the flags that only some of their command's runs read; any
+# other value in a run that does not read the flag exits 2
+_Z2_COUNT_DEFAULT = 9
+_MATRICES_DEFAULT = 2000
 
 
 # parsed names outside the config block: the dispatch target, the option
@@ -107,9 +115,15 @@ def _params_from_args(args) -> "sparcomp.core.SparcParams":
                        allow_low_rate=args.allow_low_rate)
 
 
-def _model_from_args(kind: str, args) -> SourceModel:
+def _models_from_args(kinds: Sequence[str], args) -> List[SourceModel]:
+    """The source models of kinds; --phi must be 0 unless one of them is
+    gauss_markov, the only model that reads it."""
+    if args.phi != 0.0 and "gauss_markov" not in kinds:
+        raise ValueError("--phi applies only to the gauss_markov model")
     sigma2 = args.sigma2 if args.model_sigma2 is None else args.model_sigma2
-    return SourceModel(kind, sigma2, args.phi if kind == "gauss_markov" else 0.0)
+    return [SourceModel(kind, sigma2,
+                        args.phi if kind == "gauss_markov" else 0.0)
+            for kind in kinds]
 
 
 def _rate_disp(x: float, bits: bool) -> float:
@@ -146,6 +160,9 @@ def cmd_curve(args) -> int:
 def cmd_bounds(args) -> int:
     if args.z2_count < 1:
         raise ValueError("--z2-count must be at least 1")
+    if args.z2 is not None and args.z2_count != _Z2_COUNT_DEFAULT:
+        raise ValueError("--z2-count sets the default grid; it cannot be "
+                         "combined with --z2")
     params = _params_from_args(args)
     if args.z2 is not None:
         z2_grid = [float(v) for v in args.z2.split(",")]
@@ -190,6 +207,8 @@ def cmd_suen(args) -> int:
     z2 = args.z2
     if not params.D < z2 <= params.rho2:
         raise ValueError(f"--z2 must lie in (D, rho2] = ({params.D}, {params.rho2}]")
+    if not args.check and args.matrices != _MATRICES_DEFAULT:
+        raise ValueError("--matrices applies only with --check")
     if args.check:
         check = sim.validate_bounds(params, z2, args.matrices,
                                     n_prob_samples=args.samples, seed=args.seed)
@@ -239,7 +258,7 @@ def _trial_log_document(args, report) -> str:
 
 def cmd_simulate(args) -> int:
     params = _params_from_args(args)
-    model = _model_from_args(args.model, args)
+    model = _models_from_args([args.model], args)[0]
     report = sim.run_experiment(params, model, args.trials, seed=args.seed,
                                 fresh_matrix=not args.fixed_matrix)
     _emit(_json_document(args, {"report": report.to_dict()}), args.out)
@@ -253,7 +272,7 @@ def cmd_simulate(args) -> int:
 def cmd_robustness(args) -> int:
     params = _params_from_args(args)
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
-    models = [_model_from_args(k, args) for k in kinds]
+    models = _models_from_args(kinds, args)
     result = sim.robustness_suite(params, models, args.trials, seed=args.seed)
     payload = {
         "baseline": result.baseline,
@@ -283,7 +302,7 @@ def cmd_exponent_trend(args) -> int:
         sizes.append(tuple(int(v) for v in bits))
     family = [make_params(n, L, M, args.sigma2, args.D, rho2=args.rho2,
                           seed=args.seed) for (n, L, M) in sizes]
-    model = _model_from_args(args.model, args)
+    model = _models_from_args([args.model], args)[0]
     trend = sim.exponent_trend(family, model, args.trials, seed=args.seed)
     payload = {
         "entries": [
@@ -339,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_flags(p)
     p.add_argument("--z2", type=str, default=None,
                    help="comma-separated z2 grid (default: interior grid)")
-    p.add_argument("--z2-count", type=int, default=9)
+    p.add_argument("--z2-count", type=int, default=_Z2_COUNT_DEFAULT,
+                   help="size of the default interior grid (without --z2)")
     p.add_argument("--bits", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
@@ -349,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z2", type=float, required=True)
     p.add_argument("--samples", type=int, default=200_000,
                    help="Monte Carlo samples for the coverage probabilities")
-    p.add_argument("--matrices", type=int, default=2000,
+    p.add_argument("--matrices", type=int, default=_MATRICES_DEFAULT,
                    help="matrix draws for --check")
     p.add_argument("--check", action="store_true",
                    help="validate bounds empirically; exit 3 on breach")

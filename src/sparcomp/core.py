@@ -8,7 +8,10 @@ power gamma2. The matrix is a pure function of a 64-bit seed: raw words
 come from the Philox counter-based generator and are mapped to normals by
 an in-package Box-Muller transform, filled column by column (column 0 rows
 0..n-1, then column 1, ...), so the bytes do not depend on any library's
-Gaussian sampler.
+Gaussian sampler. A block of matrices (design_columns) draws each seed's
+words apart and maps the concatenated words with the same Box-Muller code
+in one pass, so every matrix of the block equals its build_design_matrix
+bit for bit.
 """
 
 from __future__ import annotations
@@ -240,25 +243,59 @@ def unpack_beta_bits(data: bytes, L: int, M: int) -> BetaVector:
 # design matrix
 # ---------------------------------------------------------------------------
 
-def gaussian_stream(seed: int, count: int) -> np.ndarray:
-    """`count` standard normals from the Philox stream keyed by `seed`.
-
-    Raw 64-bit words are mapped to uniforms u = (w >> 11) * 2^-53 in
-    [0, 1), and consecutive pairs (u1, u2) to normals by Box-Muller:
-    r = sqrt(-2 ln(1 - u1)), z = (r cos(2 pi u2), r sin(2 pi u2)).
-    """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    pairs = (count + 1) // 2
-    raw = Philox(key=seed).random_raw(2 * pairs)
+def _box_muller(raw: np.ndarray) -> np.ndarray:
+    """Normals from an even number of raw 64-bit words. Words are mapped to
+    uniforms u = (w >> 11) * 2^-53 in [0, 1), and consecutive pairs
+    (u1, u2) to normals by Box-Muller: r = sqrt(-2 ln(1 - u1)),
+    z = (r cos(2 pi u2), r sin(2 pi u2)). Every operation is elementwise,
+    so a pair's normals do not depend on the words around it."""
     u = (raw >> np.uint64(11)) * 2.0 ** -53
     u1, u2 = u[0::2], u[1::2]
     r = np.sqrt(-2.0 * np.log1p(-u1))
     theta = (2.0 * np.pi) * u2
-    z = np.empty(2 * pairs)
+    z = np.empty(len(raw))
     z[0::2] = r * np.cos(theta)
     z[1::2] = r * np.sin(theta)
-    return z[:count]
+    return z
+
+
+def _stream_words(count: int) -> int:
+    """Raw words a stream of `count` normals draws: whole pairs."""
+    return 2 * ((count + 1) // 2)
+
+
+def gaussian_stream(seed: int, count: int) -> np.ndarray:
+    """`count` standard normals from the Philox stream keyed by `seed`,
+    mapped by _box_muller; an odd count drops the last normal of the
+    final pair."""
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    raw = Philox(key=seed).random_raw(_stream_words(count))
+    return _box_muller(raw)[:count]
+
+
+def _check_entries(params: SparcParams) -> int:
+    total = params.n * params.n_columns
+    if total > MAX_MATRIX_ENTRIES:
+        raise ValueError(
+            f"matrix would hold {total} entries > cap {MAX_MATRIX_ENTRIES}")
+    return total
+
+
+def design_columns(params: SparcParams, seeds: Sequence[int]) -> np.ndarray:
+    """The columns of the design matrices seeded by `seeds`, drawn as one
+    block of shape (len(seeds), M*L, n) in C order: entry [i, j, t] equals
+    build_design_matrix(params with seed seeds[i]).entries[t, j] bit for
+    bit. Each seed draws its own Philox words; Box-Muller then maps the
+    block's concatenated words in one pass."""
+    total = _check_entries(params)
+    words = _stream_words(total)
+    raw = np.empty((len(seeds), words), dtype=np.uint64)
+    for i, seed in enumerate(seeds):
+        raw[i] = Philox(key=int(seed)).random_raw(words)
+    z = _box_muller(raw.reshape(-1)).reshape(len(seeds), words)
+    return np.ascontiguousarray(
+        z[:, :total].reshape(len(seeds), params.n_columns, params.n))
 
 
 @dataclass(frozen=True)
@@ -292,11 +329,7 @@ class DesignMatrix:
 def build_design_matrix(params: SparcParams) -> DesignMatrix:
     """Generate the dictionary for params: i.i.d N(0,1) entries in
     column-major order from the documented seeded stream."""
-    total = params.n * params.n_columns
-    if total > MAX_MATRIX_ENTRIES:
-        raise ValueError(
-            f"matrix would hold {total} entries > cap {MAX_MATRIX_ENTRIES}")
-    flat = gaussian_stream(params.seed, total)
+    flat = gaussian_stream(params.seed, _check_entries(params))
     entries = flat.reshape((params.n, params.n_columns), order="F")
     return DesignMatrix(params, entries)
 

@@ -9,8 +9,9 @@ mixed-radix rank.
 
 Every codeword is scored by one exact scorer, _exact_sq: the squared norm
 of source - synthesize(beta), with the codeword accumulated in section
-order, evaluated for a batch of ranks at a time. The search finds its
-argmin in two steps:
+order, evaluated for a batch of ranks at a time, of one design or of a
+stack of designs (all_distortions, the ensemble side of bound
+validation). The search finds its argmin in two steps:
 
 1. A float32 tiled kernel. The first k sections are expanded into an inner
    block of M^k column sums x; the remaining sections form the outer
@@ -46,7 +47,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import BetaVector, DesignMatrix, beta_unrank, synthesize
+from .core import BetaVector, DesignMatrix, SparcParams, beta_unrank, synthesize
 
 __all__ = [
     "EncodeResult",
@@ -106,12 +107,12 @@ def sample_power(x: np.ndarray) -> float:
     return float(x @ x) / x.size
 
 
-def _check_source(matrix: DesignMatrix, source) -> np.ndarray:
+def _check_source(params: SparcParams, source) -> np.ndarray:
     source = np.asarray(source, dtype=float)
-    if source.shape != (matrix.params.n,):
+    if source.shape != (params.n,):
         raise ValueError(
             f"source shape {source.shape} does not match block length "
-            f"({matrix.params.n},)")
+            f"({params.n},)")
     if not np.isfinite(source).all():
         raise ValueError("source holds non-finite samples")
     return source
@@ -135,26 +136,29 @@ def _aligned_empty(shape: Tuple[int, int]) -> np.ndarray:
     return buf[start:start + size].view(np.float32).reshape(shape)
 
 
-def _exact_sq(matrix: DesignMatrix, source: np.ndarray,
+def _exact_sq(params: SparcParams, columns: np.ndarray, source: np.ndarray,
               ranks: np.ndarray) -> np.ndarray:
     """||source - codeword(rank)||^2 for each rank, the one scorer behind
-    the search's decision, the oracle and the reported distortion.
+    the search's decision, the oracle, the reported distortion and
+    all_distortions.
 
-    Each codeword is accumulated as synthesize does: the selected columns
-    added elementwise in section order, then scaled by c. Each error
-    vector's squared norm is a stacked (1, n) @ (n, 1) product, which
-    numpy evaluates with the same dot product as e @ e, so every value
-    equals float(e @ e) on source - synthesize(beta_unrank(rank)) bit for
-    bit (tests check this)."""
-    p = matrix.params
-    columns = np.ascontiguousarray(matrix.entries.T)
+    columns holds the design's columns, (..., M*L, n), with any leading
+    matrix axes; the result is (..., len(ranks)). Each codeword is
+    accumulated as synthesize does: the selected columns added elementwise
+    in section order, then scaled by c. Each error vector's squared norm
+    is a stacked (1, n) @ (n, 1) product, which numpy evaluates with the
+    same dot product as e @ e, so every value equals float(e @ e) on
+    source - synthesize(beta_unrank(rank)) bit for bit (tests check
+    this)."""
+    M = params.M
+    columns = np.ascontiguousarray(columns)
     ranks = np.asarray(ranks, dtype=np.int64)
-    cw = columns[ranks % p.M]
-    for l in range(1, p.L):
-        cw += columns[l * p.M + ranks // p.M ** l % p.M]
-    cw *= p.c
+    cw = columns[..., ranks % M, :]
+    for l in range(1, params.L):
+        cw += columns[..., l * M + ranks // M ** l % M, :]
+    cw *= params.c
     e = np.subtract(source, cw, out=cw)
-    return (e[:, None, :] @ e[:, :, None]).reshape(-1)
+    return (e[..., None, :] @ e[..., :, None])[..., 0, 0]
 
 
 def _section_sums(matrix: DesignMatrix, lo: int, hi: int) -> np.ndarray:
@@ -317,7 +321,8 @@ def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
         i, j = np.nonzero(lhs @ plan.aug + resid_sq[:, None] <= limit)
         ranks = outer[i] * plan.width + j
         for lo in range(0, len(ranks), _SCORE_CHUNK):
-            scores = _exact_sq(matrix, source, ranks[lo:lo + _SCORE_CHUNK])
+            scores = _exact_sq(matrix.params, matrix.entries.T, source,
+                               ranks[lo:lo + _SCORE_CHUNK])
             at = int(np.argmin(scores))
             if scores[at] < best:
                 best_rank, best = int(ranks[lo + at]), float(scores[at])
@@ -330,7 +335,7 @@ def encode_min_distance(matrix: DesignMatrix, source) -> EncodeResult:
     The reported distortion is the exact scorer's value at the argmin,
     so kernel rounding cannot leak into the result.
     """
-    source = _check_source(matrix, source)
+    source = _check_source(matrix.params, source)
     p = matrix.params
     if p.n_codewords > SEARCH_CAP:
         raise ValueError(
@@ -346,7 +351,7 @@ def encode_oracle(matrix: DesignMatrix, source) -> EncodeResult:
     """Same contract as encode_min_distance, by scoring every codeword
     with the exact scorer in rank order, _SCORE_CHUNK ranks at a time.
     Test oracle only."""
-    source = _check_source(matrix, source)
+    source = _check_source(matrix.params, source)
     p = matrix.params
     if p.n_codewords > ORACLE_CAP:
         raise ValueError(
@@ -356,7 +361,7 @@ def encode_oracle(matrix: DesignMatrix, source) -> EncodeResult:
         return gated
     best_rank, best = 0, math.inf
     for lo in range(0, p.n_codewords, _SCORE_CHUNK):
-        scores = _exact_sq(matrix, source,
+        scores = _exact_sq(p, matrix.entries.T, source,
                            np.arange(lo, min(lo + _SCORE_CHUNK, p.n_codewords)))
         at = int(np.argmin(scores))
         if scores[at] < best:
@@ -364,13 +369,19 @@ def encode_oracle(matrix: DesignMatrix, source) -> EncodeResult:
     return EncodeResult(STATUS_OK, beta_unrank(best_rank, p.L, p.M), best / p.n)
 
 
-def all_distortions(matrix: DesignMatrix, source) -> np.ndarray:
-    """Per-sample squared distance to every codeword, indexed by rank."""
-    source = _check_source(matrix, source)
-    p = matrix.params
-    if p.n_codewords > ORACLE_CAP:
-        raise ValueError(
-            f"codebook holds {p.n_codewords} candidates > cap {ORACLE_CAP}")
-    block = _section_sums(matrix, 0, p.L)  # n x M^L column sums
-    resid = source[:, None] - p.c * block
-    return np.einsum("ij,ij->j", resid, resid) / p.n
+def all_distortions(params: SparcParams, columns: np.ndarray,
+                    source) -> np.ndarray:
+    """Per-sample squared distance from source to every codeword of each
+    design in columns, (..., M*L, n) as _exact_sq takes them: the result
+    is (..., M^L), indexed by rank, and equals _exact_sq / n bit for bit.
+    Ranks are scored _SCORE_CHUNK at a time."""
+    source = _check_source(params, source)
+    count = params.n_codewords
+    if count > ORACLE_CAP:
+        raise ValueError(f"codebook holds {count} candidates > cap {ORACLE_CAP}")
+    out = np.empty(columns.shape[:-2] + (count,))
+    for lo in range(0, count, _SCORE_CHUNK):
+        hi = min(lo + _SCORE_CHUNK, count)
+        out[..., lo:hi] = _exact_sq(params, columns, source, np.arange(lo, hi))
+    out /= params.n
+    return out

@@ -19,7 +19,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import ncx2, norm
 
 from . import encoder, theory
-from .core import SparcParams, build_design_matrix
+from .core import SparcParams, build_design_matrix, design_columns
 from .encoder import (
     STATUS_OK,
     STATUS_TRIVIAL_ZERO,
@@ -60,6 +60,10 @@ SOURCE_KINDS = ("gaussian_iid", "gauss_markov", "laplace_iid", "uniform_iid")
 # x and y draws per block and the tilted one sums its weights per block.
 _PU1_CHUNK = 200_000
 _PAIR_CHUNK = 100_000
+# Codeword entries (matrices x M^L x n float64) that validate_bounds scores
+# per block of design matrices, which bounds its memory; a block holds at
+# least one matrix, whose ranks all_distortions scores in chunks.
+_COVER_BLOCK = 1 << 19
 
 
 def _seed_seq(seed: int, stream: int, index: int) -> np.random.SeedSequence:
@@ -310,8 +314,10 @@ def estimate_pU1(params: SparcParams, z2: float, n_samples: int,
         done = 0
         while done < n_samples:
             m = min(_PU1_CHUNK, n_samples - done)
-            x = math.sqrt(g2) * rng.standard_normal((m, n))
-            v = np.einsum("ij,ij->i", x - z, x - z)
+            x = rng.standard_normal((m, n))
+            x *= math.sqrt(g2)
+            x -= z
+            v = np.einsum("ij,ij->i", x, x)
             hits += int(np.count_nonzero(v <= n * D))
             done += m
         p = hits / n_samples
@@ -329,8 +335,11 @@ def estimate_pU1(params: SparcParams, z2: float, n_samples: int,
     done = 0
     while done < n_samples:
         m = min(_PU1_CHUNK, n_samples - done)
-        x = mean_t + math.sqrt(var_t) * rng.standard_normal((m, n))
-        v = np.einsum("ij,ij->i", x - z, x - z)
+        x = rng.standard_normal((m, n))
+        x *= math.sqrt(var_t)
+        x += mean_t
+        x -= z
+        v = np.einsum("ij,ij->i", x, x)
         w = np.where(v <= n * D, np.exp(n * psi - t0 * v), 0.0)
         hits += int(np.count_nonzero(w))
         sum_w += float(w.sum())
@@ -369,10 +378,16 @@ def estimate_pair_prob(params: SparcParams, z2: float, r: int, n_samples: int,
         m = min(_PAIR_CHUNK, n_samples - done)
         x = rng.standard_normal((m, n))
         y = rng.standard_normal((m, n))
-        s1 = g * x
-        s2 = g * (alpha * x + root * y)
-        v1 = np.einsum("ij,ij->i", s1 - z, s1 - z)
-        v2 = np.einsum("ij,ij->i", s2 - z, s2 - z)
+        # in place, the same operations as s1 = g x and
+        # s2 = g (alpha x + root y), each less z
+        y *= root
+        y += alpha * x
+        y *= g
+        y -= z
+        x *= g
+        x -= z
+        v1 = np.einsum("ij,ij->i", x, x)
+        v2 = np.einsum("ij,ij->i", y, y)
         hits += int(np.count_nonzero((v1 <= n * D) & (v2 <= n * D)))
         done += m
     p = hits / n_samples
@@ -416,7 +431,13 @@ def validate_bounds(params: SparcParams, z2: float, n_matrices: int,
     measure how often no codeword lands within D, and compare with the
     second-moment and correlation-inequality bounds fed by Monte Carlo
     estimates of the coverage probabilities. Within-bound flags use a
-    3-standard-error allowance on the empirical side."""
+    3-standard-error allowance on the empirical side.
+
+    Matrix i is the one run_experiment would build for trial i. The
+    matrices are drawn a block at a time (design_columns), at most
+    _COVER_BLOCK codeword entries per block, and a matrix covers the
+    source when any codeword's exact distortion (all_distortions) is at
+    most D, so the result does not depend on the block size."""
     if params.n_codewords > encoder.ORACLE_CAP:
         raise ValueError(
             f"codebook holds {params.n_codewords} candidates > cap "
@@ -429,13 +450,13 @@ def validate_bounds(params: SparcParams, z2: float, n_matrices: int,
         seed = params.seed
 
     source = np.full(params.n, math.sqrt(z2))
+    block = max(1, _COVER_BLOCK // (params.n_codewords * params.n))
     events = 0
-    for i in range(n_matrices):
-        matrix = build_design_matrix(
-            replace(params, seed=_derive_u64(seed, MATRIX_STREAM, i)))
-        dists = all_distortions(matrix, source)
-        if not np.any(dists <= params.D):
-            events += 1
+    for lo in range(0, n_matrices, block):
+        seeds = [_derive_u64(seed, MATRIX_STREAM, i)
+                 for i in range(lo, min(lo + block, n_matrices))]
+        dists = all_distortions(params, design_columns(params, seeds), source)
+        events += int(np.count_nonzero(~np.any(dists <= params.D, axis=1)))
     p_emp = events / n_matrices
     se_emp = math.sqrt(p_emp * (1.0 - p_emp) / n_matrices)
 

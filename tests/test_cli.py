@@ -342,6 +342,29 @@ def test_out_of_range_option_exits_2(capsys, argv, message):
     assert code == EXIT_CONFIG and message in err and out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(SIM_ARGS + ["--phi", "0.5"], "--phi", id="simulate_phi"),
+    pytest.param(ROBUST_ARGS + ["--models", "gaussian_iid,laplace_iid",
+                                "--phi", "0.5"], "--phi", id="robustness_phi"),
+    pytest.param(TREND_ARGS + ["--phi", "0.5"], "--phi", id="trend_phi"),
+    pytest.param(["suen", "--n", "12", "--L", "3", "--M", "4", "--D", "0.7",
+                  "--z2", "0.8", "--samples", "2000", "--matrices", "7"],
+                 "--matrices", id="suen_matrices_without_check"),
+    pytest.param(BOUNDS_ARGS + ["--z2", "0.8", "--z2-count", "3"],
+                 "--z2-count", id="bounds_z2_count_with_z2"),
+])
+def test_flag_the_run_would_ignore_exits_2(capsys, argv, message):
+    # each run would otherwise write the payload of the flag's default under
+    # another config_sha256
+    code, out, err = run_main(capsys, *argv)
+    assert code == EXIT_CONFIG and message in err and out == ""
+
+
+def test_phi_is_accepted_when_one_model_is_gauss_markov(capsys):
+    # the default --models list ends with gauss_markov
+    assert run_main(capsys, *ROBUST_ARGS, "--phi", "0.5")[0] == EXIT_OK
+
+
 @pytest.mark.parametrize("argv", [ROBUST_ARGS, TREND_ARGS])
 def test_model_sigma2_enters_config_sha256(capsys, argv):
     digests = set()

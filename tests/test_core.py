@@ -1,6 +1,7 @@
 """Parameter derivation, rank and packed-payload round trips, the seeded
 Gaussian stream, design-matrix construction and file containers."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -14,7 +15,7 @@ from sparcomp import core
 import sparcomp.theory as th
 from sparcomp.core import (
     BetaVector, LowRateError, beta_rank, beta_unrank, build_design_matrix,
-    gaussian_stream, load_matrix, make_params, pack_beta_bits,
+    design_columns, gaussian_stream, load_matrix, make_params, pack_beta_bits,
     read_matrix_header, save_matrix, synthesize, unpack_beta_bits,
 )
 
@@ -234,6 +235,32 @@ def test_matrix_size_guard(monkeypatch):
     monkeypatch.setattr(core, "MAX_MATRIX_ENTRIES", 10_000)
     with pytest.raises(ValueError, match="cap"):
         build_design_matrix(p)
+
+
+@pytest.mark.parametrize("n, L, M", [(12, 3, 4), (5, 3, 3)])
+def test_block_draw_equals_per_seed_matrices(n, L, M):
+    # 5-3-3 holds an odd 45 entries, so each matrix's last Box-Muller pair
+    # loses its second normal and the next matrix starts a fresh pair
+    p = make_params(n, L, M, 1.0, 0.5, rho2=1.2, allow_low_rate=True)
+    seeds = [0, 1, 2 ** 64 - 1, 6, 123_456_789_012, 7, 2 ** 40 + 3]
+    block = design_columns(p, seeds)
+    assert block.shape == (len(seeds), p.n_columns, p.n)
+    assert block.flags.c_contiguous
+    for columns, seed in zip(block, seeds):
+        entries = build_design_matrix(dataclasses.replace(p, seed=seed)).entries
+        assert columns.tobytes() == np.ascontiguousarray(entries.T).tobytes()
+    # a block split anywhere draws the same matrices
+    for cut in (1, 3, 6):
+        halves = np.concatenate([design_columns(p, seeds[:cut]),
+                                 design_columns(p, seeds[cut:])])
+        assert halves.tobytes() == block.tobytes()
+
+
+def test_block_draw_size_guard(monkeypatch):
+    p = make_params(64, 8, 256, 1.0, 0.5, seed=0)
+    monkeypatch.setattr(core, "MAX_MATRIX_ENTRIES", 10_000)
+    with pytest.raises(ValueError, match="cap"):
+        design_columns(p, [0])
 
 
 def test_synthesize_is_linear(small):

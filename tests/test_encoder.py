@@ -277,16 +277,18 @@ def test_oracle_cap_enforced():
 def test_all_distortions_agrees_with_search(inst):
     p, mt = inst
     source = _rng(41).normal(size=p.n) * 0.85
-    dists = all_distortions(mt, source)
+    dists = all_distortions(p, mt.entries.T, source)
     assert dists.shape == (p.n_codewords,)
+    # one scorer: every value is _exact_sq / n bit for bit
+    exact = encoder._exact_sq(p, mt.entries.T, source, np.arange(p.n_codewords))
+    assert np.array_equal(dists, exact / p.n)
     strict = DesignMatrix(replace(p, D=1e-12), mt.entries)
     res = encode_min_distance(strict, source)
     assert res.status == STATUS_OK
-    assert float(dists.min()) == pytest.approx(res.distortion, rel=1e-12)
+    assert float(dists.min()) == res.distortion
     # rank indexing: entry at the argmin rank equals the reported distortion
     from sparcomp.core import beta_rank
-    assert dists[beta_rank(res.beta, p.M)] == pytest.approx(
-        res.distortion, rel=1e-12)
+    assert dists[beta_rank(res.beta, p.M)] == res.distortion
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -315,7 +317,7 @@ def test_batched_scorer_equals_per_codeword_dot(n):
     rng = _rng(n)
     source = rng.normal(size=n)
     ranks = rng.integers(0, p.n_codewords, size=2000)
-    scores = encoder._exact_sq(mt, source, ranks)
+    scores = encoder._exact_sq(mt.params, mt.entries.T, source, ranks)
     for rank, score in zip(ranks, scores):
         e = source - synthesize(mt, beta_unrank(int(rank), p.L, p.M))
         assert score == float(e @ e)
@@ -355,7 +357,8 @@ def test_float32_near_ties_match_oracle(seed, r1, r2, k):
     delta = w2 - w1
     gap = _unscaled_tol(mt, 0.5 * (w1 + w2)) * 2.0 ** -k
     source = 0.5 * (w1 + w2) + gap / (2.0 * float(delta @ delta)) * delta
-    d1, d2 = encoder._exact_sq(mt, source, np.array([r1, r2]))
+    d1, d2 = encoder._exact_sq(mt.params, mt.entries.T, source,
+                               np.array([r1, r2]))
     assert 0.0 < abs(d1 - d2) < _unscaled_tol(mt, source)
     fast = encode_min_distance(mt, source)
     slow = encode_oracle(mt, source)
@@ -451,7 +454,8 @@ def test_kernel_error_within_tolerance(n, L, M):
         plan = encoder._Plan(mt, source)
         lhs, resid_sq = encoder._augmented(plan.residuals(np.arange(plan.rows)))
         kernel = lhs @ plan.aug + resid_sq[:, None]
-        exact = encoder._exact_sq(mt, source, np.arange(p.n_codewords))
+        exact = encoder._exact_sq(mt.params, mt.entries.T, source,
+                                  np.arange(p.n_codewords))
         exact = exact.reshape(plan.rows, plan.width) * plan.scale ** 2
         assert np.abs(kernel - exact).max() <= plan.tol
 

@@ -12,10 +12,10 @@ from scipy.signal import lfilter
 from scipy.stats import beta as beta_dist
 
 import sparcomp as sp
-from sparcomp.core import DesignMatrix, build_design_matrix, make_params
+from sparcomp.core import build_design_matrix, make_params
 from sparcomp.encoder import STATUS_OK, encode_oracle, sample_power
 from sparcomp.sim import (
-    MATRIX_STREAM, SOURCE_STREAM, SourceModel, _derive_u64, _seed_seq,
+    ESTIMATOR_STREAM, MATRIX_STREAM, SOURCE_STREAM, SourceModel, _derive_u64, _seed_seq,
     clopper_pearson_upper, draw_source, estimate_pU1, estimate_pair_prob,
     exact_pU1, exponent_trend, robustness_suite, run_experiment,
     validate_bounds, wilson_interval,
@@ -282,10 +282,108 @@ def test_validate_bounds_counts_distortion_equal_to_D_as_covered(monkeypatch):
     # z2 = D = 0.25, which covers the source under the rule distortion <= D
     params = make_params(12, 3, 4, 1.0, 0.25, rho2=1.5, allow_low_rate=True)
     monkeypatch.setattr(
-        sp.sim, "build_design_matrix",
-        lambda p: DesignMatrix(p, np.zeros((p.n, p.n_columns))))
+        sp.sim, "design_columns",
+        lambda p, seeds: np.zeros((len(seeds), p.n_columns, p.n)))
     check = validate_bounds(params, 0.25, 5, n_prob_samples=2000, seed=1)
     assert check.empirical_p == 0.0
+
+
+@pytest.mark.parametrize("block", [1, 7 * 12 * 64, 10 ** 9])
+def test_validate_bounds_independent_of_block_size(monkeypatch, tiny, block):
+    # the block holds _COVER_BLOCK // (M^L n) matrices: 1, 7 (which does
+    # not divide 50) or all of them
+    want = validate_bounds(tiny, 0.87, 50, n_prob_samples=2000, seed=3)
+    monkeypatch.setattr(sp.sim, "_COVER_BLOCK", block)
+    assert validate_bounds(tiny, 0.87, 50, n_prob_samples=2000, seed=3) == want
+
+
+@pytest.mark.parametrize("seed", [6, 1000])
+def test_validate_bounds_events_match_a_per_matrix_loop(tiny, seed):
+    # matrix i is the one run_experiment builds for trial i; it fails to
+    # cover when the oracle's minimum distortion exceeds D
+    z2, n_matrices = 0.87, 300
+    source = np.full(tiny.n, math.sqrt(z2))
+    events = 0
+    for i in range(n_matrices):
+        matrix = build_design_matrix(
+            replace(tiny, seed=_derive_u64(seed, MATRIX_STREAM, i)))
+        events += encode_oracle(matrix, source).distortion > tiny.D
+    assert 0 < events < n_matrices
+    check = validate_bounds(tiny, z2, n_matrices, n_prob_samples=1000, seed=seed)
+    assert check.empirical_p == events / n_matrices
+
+
+def _hits_pU1(params, z2, n_samples, seed, chunk):
+    # out-of-place form of the untilted estimator
+    n, z = params.n, math.sqrt(z2)
+    rng = np.random.default_rng(_seed_seq(seed, ESTIMATOR_STREAM, 0))
+    hits = done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        x = math.sqrt(params.gamma2) * rng.standard_normal((m, n))
+        v = np.einsum("ij,ij->i", x - z, x - z)
+        hits += int(np.count_nonzero(v <= n * params.D))
+        done += m
+    return hits
+
+
+def _hits_pair(params, z2, r, n_samples, seed, chunk):
+    # out-of-place form of the pair estimator
+    n, z, g = params.n, math.sqrt(z2), math.sqrt(params.gamma2)
+    alpha = r / params.L
+    root = math.sqrt(1.0 - alpha * alpha)
+    rng = np.random.default_rng(_seed_seq(seed, ESTIMATOR_STREAM, 1 + r))
+    hits = done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        x = rng.standard_normal((m, n))
+        y = rng.standard_normal((m, n))
+        s1 = g * x
+        s2 = g * (alpha * x + root * y)
+        v1 = np.einsum("ij,ij->i", s1 - z, s1 - z)
+        v2 = np.einsum("ij,ij->i", s2 - z, s2 - z)
+        hits += int(np.count_nonzero((v1 <= n * params.D) & (v2 <= n * params.D)))
+        done += m
+    return hits
+
+
+def _tilted_sums(params, z2, n_samples, seed, chunk):
+    # out-of-place form of the tilted estimator's weight sums
+    n, g2, D, z = params.n, params.gamma2, params.D, math.sqrt(z2)
+    t0 = sp.theory.t0_tilt(z2, g2, D)
+    shrink = 1.0 - 2.0 * g2 * t0
+    var_t = g2 / shrink
+    mean_t = -2.0 * t0 * z * var_t
+    psi = t0 * z2 / shrink - 0.5 * math.log(shrink)
+    rng = np.random.default_rng(_seed_seq(seed, ESTIMATOR_STREAM, 0))
+    sum_w = sum_w2 = 0.0
+    done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        x = mean_t + math.sqrt(var_t) * rng.standard_normal((m, n))
+        v = np.einsum("ij,ij->i", x - z, x - z)
+        w = np.where(v <= n * D, np.exp(n * psi - t0 * v), 0.0)
+        sum_w += float(w.sum())
+        sum_w2 += float((w * w).sum())
+        done += m
+    p = sum_w / n_samples
+    return p, math.sqrt(max(sum_w2 / n_samples - p * p, 0.0) / n_samples)
+
+
+@pytest.mark.parametrize("seed, z2", [(0, 0.75), (6, 0.8678), (1000, 0.98)])
+def test_in_place_estimators_keep_their_hit_counts(monkeypatch, tiny, seed, z2):
+    # small chunks, so that the last one is partial
+    monkeypatch.setattr(sp.sim, "_PU1_CHUNK", 7000)
+    monkeypatch.setattr(sp.sim, "_PAIR_CHUNK", 6000)
+    n_samples = 20_000
+    est = estimate_pU1(tiny, z2, n_samples, seed=seed)
+    assert est.p == _hits_pU1(tiny, z2, n_samples, seed, 7000) / n_samples
+    est = estimate_pU1(tiny, z2, n_samples, seed=seed, tilted=True)
+    assert (est.p, est.se) == _tilted_sums(tiny, z2, n_samples, seed, 7000)
+    for r in range(tiny.L):
+        est = estimate_pair_prob(tiny, z2, r, n_samples, seed=seed)
+        hits = _hits_pair(tiny, z2, r, n_samples, seed, 6000)
+        assert est.p == hits / n_samples
 
 
 def test_validate_bounds_cap_is_the_oracle_cap(monkeypatch):
