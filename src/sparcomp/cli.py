@@ -11,7 +11,10 @@ clock to stderr only.
 Exit codes: 0 success, 2 configuration error, 3 check-mode breach. A
 flag that the run would ignore is a configuration error unless it holds
 its default: --phi without a gauss_markov model, suen --matrices without
---check, bounds --z2-count with --z2.
+--check, bounds --z2-count with --z2, and --seed on curve and bounds,
+which draw nothing at random. Those two keep --seed, at its default 0,
+so that their config blocks, and with them their artifacts, keep their
+bytes.
 All rates are computed in nats; --bits converts displayed rate columns only.
 """
 
@@ -24,6 +27,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -135,6 +139,8 @@ def _rate_disp(x: float, bits: bool) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_curve(args) -> int:
+    if args.seed != 0:
+        raise ValueError("--seed does not apply: curve draws nothing at random")
     if args.points < 2:
         raise ValueError("--points must be at least 2")
     x_star = theory.solve_x_star()
@@ -158,6 +164,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.seed != 0:
+        raise ValueError("--seed does not apply: bounds draws nothing at random")
     if args.z2_count < 1:
         raise ValueError("--z2-count must be at least 1")
     if args.z2 is not None and args.z2_count != _Z2_COUNT_DEFAULT:
@@ -277,10 +285,8 @@ def cmd_robustness(args) -> int:
     payload = {
         "baseline": result.baseline,
         "reports": {k: rep.to_dict() for k, rep in result.reports.items()},
-        "conditional_success": {
-            k: {"n_conditioned": c.n_conditioned, "rate": c.rate, "se": c.se}
-            for k, c in result.conditional.items()
-        },
+        "conditional_success": {k: asdict(c)
+                                for k, c in result.conditional.items()},
         "within_band": dict(result.within_band),
     }
     _emit(_json_document(args, payload), args.out)
@@ -304,18 +310,7 @@ def cmd_exponent_trend(args) -> int:
                           seed=args.seed) for (n, L, M) in sizes]
     model = _models_from_args([args.model], args)[0]
     trend = sim.exponent_trend(family, model, args.trials, seed=args.seed)
-    payload = {
-        "entries": [
-            {"n": e.n, "L": e.L, "M": e.M, "n_trials": e.n_trials,
-             "n_errors": e.n_errors, "p_error": e.p_error,
-             "p_error_ci": list(e.p_error_ci), "exponent": e.exponent,
-             "exponent_upper_only": e.exponent_upper_only}
-            for e in trend.entries
-        ],
-        "slope": trend.slope, "intercept": trend.intercept,
-        "r_squared": trend.r_squared,
-    }
-    _emit(_json_document(args, payload), args.out)
+    _emit(_json_document(args, asdict(trend)), args.out)
     if args.check:
         exps = [e.exponent for e in trend.entries if e.exponent is not None]
         if any(b < a for a, b in zip(exps, exps[1:])):

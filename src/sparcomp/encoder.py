@@ -7,20 +7,25 @@ The encoder first applies the two gates: a source with per-sample power
 the global argmin of ||s - A beta|| is returned, ties broken by smallest
 mixed-radix rank.
 
-Every codeword is scored by one exact scorer, _exact_sq: the squared norm
-of source - synthesize(beta), with the codeword accumulated in section
-order, evaluated for a batch of ranks at a time, of one design or of a
-stack of designs (all_distortions, the ensemble side of bound
-validation). The search finds its argmin in two steps:
+Every sum of selected columns comes from one gather, _column_sums: for
+each rank over a range of sections, the column that each of its base-M
+digits picks, added in increasing section order as synthesize adds them.
 
-1. A float32 tiled kernel. The first k sections are expanded into an inner
-   block of M^k column sums x; the remaining sections form the outer
-   ranks, whose residual rows r = s - c * outer are built a chunk at a
-   time inside the tile loop, from the outer section sums kept as two
-   factors. The inner block is augmented with the row c^2 |x|^2 below
-   -2c x, the residual rows with a column of ones, so one float32 matrix
-   product per row tile gives c^2 |x|^2 - 2c r.x for every candidate of
-   the tile. Before the cast to float32, every input is scaled by a power
+Every codeword is scored by one exact scorer, _exact_sq: the squared norm
+of source - synthesize(beta), with the codeword built by that gather, for
+any number of ranks, of one design or of a stack of designs
+(all_distortions, the ensemble side of bound validation). The scorer
+works through the ranks _SCORE_CHUNK at a time, so each caller makes one
+call per batch of ranks. The search finds its argmin in two steps:
+
+1. A float32 tiled kernel. The first k sections are gathered into an
+   inner block of M^k column sums x; the remaining sections form the
+   outer ranks, whose residual rows r = s - c * outer are built a chunk
+   at a time inside the tile loop, from the outer section sums kept as
+   two gathered factors. The inner block is augmented with the row
+   c^2 |x|^2 below -2c x, the residual rows with a column of ones, so one
+   float32 matrix product per row tile gives c^2 |x|^2 - 2c r.x for every
+   candidate of the tile. Before the cast to float32, every input is scaled by a power
    of two near 1 / Lam, where Lam bounds every codeword error norm; the
    scaling is exact, and float32 then neither overflows nor loses the
    bound to underflow. Tiles are sized to stay in L2 and in the BLAS
@@ -31,9 +36,9 @@ validation). The search finds its argmin in two steps:
    _exact_sq by at most a rigorous rounding bound tol (_kernel_tol, at
    the float32 unit roundoff), so every exact minimum lies within 2 tol
    of the kernel minimum. Every candidate inside that window is rescored
-   with _exact_sq in vectorized batches and the smallest rank among the
-   exact minima wins. The result therefore does not depend on the
-   kernel's rounding, precision or tile size.
+   with _exact_sq, one call per batch of window rows, and the smallest
+   rank among the exact minima wins. The result therefore does not depend
+   on the kernel's rounding, precision or tile size.
 
 A plain oracle that scores every rank with the same scorer
 (encode_oracle) cross-validates it in tests.
@@ -79,8 +84,8 @@ _TILE_BYTES = 1 << 18
 # this was tuned on that was 2x faster per candidate for a 229 x 17 x 256
 # tile than the packed, threaded path took for 256 x 17 x 256.
 _TILE_MACS = 10 ** 6
-# Codewords per batched exact rescore: bounds the rescore's memory to
-# _SCORE_CHUNK * n float64 however many candidates tie.
+# Codewords per batch of the exact scorer: bounds its memory to
+# _SCORE_CHUNK * n float64 per design however many ranks it scores.
 _SCORE_CHUNK = 1 << 12
 # Byte alignment of the float32 GEMM operand and output buffers (one cache
 # line). OpenBLAS's float32 kernels ran 10-40% slower per tile when the
@@ -136,6 +141,21 @@ def _aligned_empty(shape: Tuple[int, int]) -> np.ndarray:
     return buf[start:start + size].view(np.float32).reshape(shape)
 
 
+def _column_sums(columns: np.ndarray, M: int, ranks: np.ndarray,
+                 lo: int, hi: int) -> np.ndarray:
+    """Sum of the columns that each rank selects in sections lo..hi-1,
+    (..., len(ranks), n) for columns (..., M*L, n). Base-M digit l - lo of
+    a rank (least significant first) picks the column of section l, and
+    the columns are added in increasing section order, as synthesize adds
+    them. An empty range gives zero sums."""
+    if lo == hi:
+        return np.zeros(columns.shape[:-2] + (len(ranks), columns.shape[-1]))
+    total = np.take(columns, lo * M + ranks % M, axis=-2)
+    for l in range(lo + 1, hi):
+        total += np.take(columns, l * M + ranks // M ** (l - lo) % M, axis=-2)
+    return total
+
+
 def _exact_sq(params: SparcParams, columns: np.ndarray, source: np.ndarray,
               ranks: np.ndarray) -> np.ndarray:
     """||source - codeword(rank)||^2 for each rank, the one scorer behind
@@ -143,39 +163,26 @@ def _exact_sq(params: SparcParams, columns: np.ndarray, source: np.ndarray,
     all_distortions.
 
     columns holds the design's columns, (..., M*L, n), with any leading
-    matrix axes; the result is (..., len(ranks)). Each codeword is
-    accumulated as synthesize does: the selected columns added elementwise
-    in section order, then scaled by c. Each error vector's squared norm
-    is a stacked (1, n) @ (n, 1) product, which numpy evaluates with the
-    same dot product as e @ e, so every value equals float(e @ e) on
+    matrix axes; the result is (..., len(ranks)). Ranks are scored
+    _SCORE_CHUNK at a time, so memory stays bounded however many are
+    asked for. Each codeword is accumulated as synthesize does: the
+    selected columns added elementwise in section order (_column_sums),
+    then scaled by c. Each error vector's squared norm is a stacked
+    (1, n) @ (n, 1) product, which numpy evaluates with the same dot
+    product as e @ e, so every value equals float(e @ e) on
     source - synthesize(beta_unrank(rank)) bit for bit (tests check
     this)."""
-    M = params.M
     columns = np.ascontiguousarray(columns)
     ranks = np.asarray(ranks, dtype=np.int64)
-    cw = columns[..., ranks % M, :]
-    for l in range(1, params.L):
-        cw += columns[..., l * M + ranks // M ** l % M, :]
-    cw *= params.c
-    e = np.subtract(source, cw, out=cw)
-    return (e[..., None, :] @ e[..., :, None])[..., 0, 0]
-
-
-def _section_sums(matrix: DesignMatrix, lo: int, hi: int) -> np.ndarray:
-    """Column sums over sections lo..hi-1, one column per rank of those
-    sections (section lo least significant). Each sum adds its sections in
-    increasing order, as synthesize does. An empty range gives the single
-    zero column."""
-    if lo == hi:
-        return np.zeros((matrix.params.n, 1))
-    M = matrix.params.M
-    block = matrix.section(lo)
-    for l in range(lo + 1, hi):
-        # new rank = old + M^(l-lo) * idx_l -> idx_l varies along the slower axis
-        n, width = block.shape
-        block = (matrix.section(l)[:, :, None] + block[:, None, :]) \
-            .reshape(n, M * width)
-    return block
+    out = np.empty(columns.shape[:-2] + ranks.shape)
+    for lo in range(0, len(ranks), _SCORE_CHUNK):
+        cw = _column_sums(columns, params.M, ranks[lo:lo + _SCORE_CHUNK],
+                          0, params.L)
+        cw *= params.c
+        e = np.subtract(source, cw, out=cw)
+        out[..., lo:lo + _SCORE_CHUNK] = \
+            (e[..., None, :] @ e[..., :, None])[..., 0, 0]
+    return out
 
 
 def _kernel_tol(matrix: DesignMatrix, source: np.ndarray) -> Tuple[float, float]:
@@ -247,18 +254,19 @@ class _Plan:
         k = 1
         while k + 1 < L and M ** (k + 1) <= _INNER_COLS:
             k += 1
-        cx = _section_sums(matrix, 0, k) * cs
-        self.width = cx.shape[1]
+        columns = matrix.entries.T
+        cx = _column_sums(columns, M, np.arange(M ** k), 0, k) * cs
+        self.width = len(cx)
         # augmented inner block: -2c x above c^2 |x|^2, so that the row
         # [r, 1] times it gives c^2 |x|^2 - 2c r.x
         self.aug = _aligned_empty((n + 1, self.width))
-        np.multiply(cx, -2.0, out=self.aug[:n])
-        self.aug[n] = np.einsum("ij,ij->j", cx, cx)
+        np.multiply(cx.T, -2.0, out=self.aug[:n])
+        self.aug[n] = np.einsum("ij,ij->i", cx, cx)
         h = max(k, L - 1)
-        # one row per rank: C order keeps each residual row contiguous
-        self.fast = np.multiply(_section_sums(matrix, k, h).T, cs, order="C")
-        self.slow = np.subtract(source * self.scale,
-                                _section_sums(matrix, h, L).T * cs, order="C")
+        # one row per rank, so each residual row is contiguous
+        self.fast = _column_sums(columns, M, np.arange(M ** (h - k)), k, h) * cs
+        self.slow = source * self.scale \
+            - _column_sums(columns, M, np.arange(M ** (L - h)), h, L) * cs
         self.rows = len(self.fast) * len(self.slow)
         # kernel rows per tile, and residual rows per chunk built at once,
         # within _TILE_BYTES of float64
@@ -320,12 +328,10 @@ def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
         lhs, resid_sq = _augmented(plan.residuals(outer))
         i, j = np.nonzero(lhs @ plan.aug + resid_sq[:, None] <= limit)
         ranks = outer[i] * plan.width + j
-        for lo in range(0, len(ranks), _SCORE_CHUNK):
-            scores = _exact_sq(matrix.params, matrix.entries.T, source,
-                               ranks[lo:lo + _SCORE_CHUNK])
-            at = int(np.argmin(scores))
-            if scores[at] < best:
-                best_rank, best = int(ranks[lo + at]), float(scores[at])
+        scores = _exact_sq(matrix.params, matrix.entries.T, source, ranks)
+        at = int(np.argmin(scores))
+        if scores[at] < best:
+            best_rank, best = int(ranks[at]), float(scores[at])
     return best_rank, best
 
 
@@ -349,8 +355,7 @@ def encode_min_distance(matrix: DesignMatrix, source) -> EncodeResult:
 
 def encode_oracle(matrix: DesignMatrix, source) -> EncodeResult:
     """Same contract as encode_min_distance, by scoring every codeword
-    with the exact scorer in rank order, _SCORE_CHUNK ranks at a time.
-    Test oracle only."""
+    with the exact scorer and taking the first minimum. Test oracle only."""
     source = _check_source(matrix.params, source)
     p = matrix.params
     if p.n_codewords > ORACLE_CAP:
@@ -359,29 +364,19 @@ def encode_oracle(matrix: DesignMatrix, source) -> EncodeResult:
     gated = _gate(matrix, source)
     if gated is not None:
         return gated
-    best_rank, best = 0, math.inf
-    for lo in range(0, p.n_codewords, _SCORE_CHUNK):
-        scores = _exact_sq(p, matrix.entries.T, source,
-                           np.arange(lo, min(lo + _SCORE_CHUNK, p.n_codewords)))
-        at = int(np.argmin(scores))
-        if scores[at] < best:
-            best_rank, best = lo + at, float(scores[at])
-    return EncodeResult(STATUS_OK, beta_unrank(best_rank, p.L, p.M), best / p.n)
+    scores = _exact_sq(p, matrix.entries.T, source, np.arange(p.n_codewords))
+    rank = int(np.argmin(scores))
+    return EncodeResult(STATUS_OK, beta_unrank(rank, p.L, p.M),
+                        float(scores[rank]) / p.n)
 
 
 def all_distortions(params: SparcParams, columns: np.ndarray,
                     source) -> np.ndarray:
     """Per-sample squared distance from source to every codeword of each
     design in columns, (..., M*L, n) as _exact_sq takes them: the result
-    is (..., M^L), indexed by rank, and equals _exact_sq / n bit for bit.
-    Ranks are scored _SCORE_CHUNK at a time."""
+    is (..., M^L), indexed by rank, and equals _exact_sq / n bit for bit."""
     source = _check_source(params, source)
     count = params.n_codewords
     if count > ORACLE_CAP:
         raise ValueError(f"codebook holds {count} candidates > cap {ORACLE_CAP}")
-    out = np.empty(columns.shape[:-2] + (count,))
-    for lo in range(0, count, _SCORE_CHUNK):
-        hi = min(lo + _SCORE_CHUNK, count)
-        out[..., lo:hi] = _exact_sq(params, columns, source, np.arange(lo, hi))
-    out /= params.n
-    return out
+    return _exact_sq(params, columns, source, np.arange(count)) / params.n

@@ -11,7 +11,7 @@ order-independent and reports are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +54,10 @@ SOURCE_STREAM = 2
 ESTIMATOR_STREAM = 3
 
 SOURCE_KINDS = ("gaussian_iid", "gauss_markov", "laplace_iid", "uniform_iid")
+
+# Confidence level of every interval the reports give: the Wilson interval
+# of an error rate and the Clopper-Pearson limit of a censored exponent.
+_CONFIDENCE = 0.95
 
 # Samples per block of the coverage estimators, which bounds their memory.
 # Reported estimates depend on them too: the pair estimator alternates its
@@ -138,11 +142,12 @@ def draw_source(model: SourceModel, n: int, trial_seed) -> np.ndarray:
 # intervals
 # ---------------------------------------------------------------------------
 
-def wilson_interval(k: int, n: int, conf: float = 0.95) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion k/n."""
+def wilson_interval(k: int, n: int) -> Tuple[float, float]:
+    """Wilson score interval for a binomial proportion k/n, at confidence
+    _CONFIDENCE."""
     if not 0 <= k <= n or n < 1:
         raise ValueError(f"need 0 <= k <= n, n >= 1; got k={k}, n={n}")
-    z = norm.ppf(0.5 + conf / 2.0)
+    z = norm.ppf(0.5 + _CONFIDENCE / 2.0)
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2.0 * n)) / denom
@@ -150,13 +155,14 @@ def wilson_interval(k: int, n: int, conf: float = 0.95) -> Tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def clopper_pearson_upper(k: int, n: int, conf: float = 0.95) -> float:
-    """One-sided exact upper confidence limit for a binomial proportion."""
+def clopper_pearson_upper(k: int, n: int) -> float:
+    """One-sided exact upper confidence limit for a binomial proportion, at
+    confidence _CONFIDENCE."""
     if not 0 <= k <= n or n < 1:
         raise ValueError(f"need 0 <= k <= n, n >= 1; got k={k}, n={n}")
     if k == n:
         return 1.0
-    return float(beta_dist.ppf(conf, k + 1, n - k))
+    return float(beta_dist.ppf(_CONFIDENCE, k + 1, n - k))
 
 
 # ---------------------------------------------------------------------------
@@ -193,26 +199,13 @@ class ExperimentReport:
     trials: Tuple[TrialRecord, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "params": {k: getattr(self.params, k) for k in
-                       ("n", "L", "M", "b", "R", "sigma2", "D", "rho2",
-                        "gamma2", "c", "seed")},
-            "model": {"kind": self.model.kind, "sigma2": self.model.sigma2,
-                      "phi": self.model.phi},
-            "seed": self.seed,
-            "fresh_matrix": self.fresh_matrix,
-            "n_trials": self.n_trials,
-            "status_counts": dict(self.status_counts),
-            "n_success": self.n_success,
-            "p_error": self.p_error,
-            "p_error_ci": list(self.p_error_ci),
-            "mean_distortion": self.mean_distortion,
-            "distortion_quantiles": dict(self.distortion_quantiles),
-            "distortion_hist": {
-                "edges": list(self.distortion_hist[0]),
-                "counts": list(self.distortion_hist[1]),
-            },
-        }
+        """Every field but the per-trial records, for JSON."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "trials"}
+        edges, counts = self.distortion_hist
+        out.update(params=asdict(self.params), model=asdict(self.model),
+                   distortion_hist={"edges": edges, "counts": counts})
+        return out
 
 
 def run_experiment(params: SparcParams, model: SourceModel, n_trials: int,
@@ -444,6 +437,8 @@ def validate_bounds(params: SparcParams, z2: float, n_matrices: int,
             f"{encoder.ORACLE_CAP}")
     if n_matrices < 1:
         raise ValueError(f"need n_matrices >= 1, got {n_matrices}")
+    if n_prob_samples < 1:
+        raise ValueError(f"need n_prob_samples >= 1, got {n_prob_samples}")
     if not 0 < z2:
         raise ValueError(f"z2 must be positive, got {z2}")
     if seed is None:

@@ -1,6 +1,7 @@
 """Command-line interface: metadata headers, CSV/JSON schemas, config-file
 merging, determinism of emitted files and exit-code conventions."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -352,6 +353,9 @@ def test_out_of_range_option_exits_2(capsys, argv, message):
                  "--matrices", id="suen_matrices_without_check"),
     pytest.param(BOUNDS_ARGS + ["--z2", "0.8", "--z2-count", "3"],
                  "--z2-count", id="bounds_z2_count_with_z2"),
+    pytest.param(["curve", "--points", "5", "--seed", "5"], "--seed",
+                 id="curve_seed"),
+    pytest.param(BOUNDS_ARGS + ["--seed", "5"], "--seed", id="bounds_seed"),
 ])
 def test_flag_the_run_would_ignore_exits_2(capsys, argv, message):
     # each run would otherwise write the payload of the flag's default under
@@ -390,35 +394,103 @@ def config_block(text):
     return json.loads(line[len("# config: "):])
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["curve", "--points", "5", "--bits"], id="curve_bits"),
-    pytest.param(BOUNDS_ARGS + ["--z2", "0.8,1.0"], id="bounds_z2"),
-    pytest.param(BOUNDS_ARGS, id="bounds_default_grid"),
-    pytest.param(SUEN_ARGS, id="suen"),
-    pytest.param(SUEN_ARGS + ["--matrices", "20", "--check"], id="suen_check"),
-    pytest.param(SIM_ARGS + ["--model", "gauss_markov", "--phi", "0.7",
-                             "--fixed-matrix", "--model-sigma2", "0.9"],
-                 id="simulate"),
-    pytest.param(ROBUST_ARGS, id="robustness"),
-    pytest.param(TREND_ARGS, id="exponent_trend"),
-])
+ARTIFACT_RUNS = {
+    "curve_bits": ["curve", "--points", "5", "--bits"],
+    "bounds_z2": BOUNDS_ARGS + ["--z2", "0.8,1.0"],
+    "bounds_default_grid": BOUNDS_ARGS,
+    "suen": SUEN_ARGS,
+    "suen_check": SUEN_ARGS + ["--matrices", "20", "--check"],
+    "simulate": SIM_ARGS + ["--model", "gauss_markov", "--phi", "0.7",
+                            "--fixed-matrix", "--model-sigma2", "0.9"],
+    "robustness": ROBUST_ARGS,
+    "exponent_trend": TREND_ARGS,
+}
+
+
+def write_artifacts(capsys, where, argv):
+    """Run argv with its outputs in the directory where; return the bytes of
+    every file written, by name."""
+    where.mkdir()
+    outputs = ["--out", str(where / "out")]
+    if argv[0] in ("simulate", "robustness"):
+        outputs += ["--trial-log", str(where / "log")]
+    assert run_main(capsys, *argv, *outputs)[0] == EXIT_OK
+    return {p.name: p.read_bytes() for p in where.iterdir()}
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=key)
+                                  for key, argv in ARTIFACT_RUNS.items()])
 def test_config_block_reproduces_artifact(tmp_path, capsys, argv):
     # the replay gets only the recorded block and the same output names (a
     # bounds row names its alpha file)
+    first = write_artifacts(capsys, tmp_path / "first", argv)
     cfg = tmp_path / "cfg.json"
-    files = {}
-    for run in ("first", "replay"):
-        where = tmp_path / run
-        where.mkdir()
-        outputs = ["--out", str(where / "out")]
-        if argv[0] in ("simulate", "robustness"):
-            outputs += ["--trial-log", str(where / "log")]
-        if run == "replay":
-            cfg.write_text(json.dumps(config_block(files["first"]["out"].decode())))
-            argv = [argv[0], "--config", str(cfg)]
-        assert run_main(capsys, *argv, *outputs)[0] == EXIT_OK
-        files[run] = {p.name: p.read_bytes() for p in where.iterdir()}
-    assert files["replay"] == files["first"]
+    cfg.write_text(json.dumps(config_block(first["out"].decode())))
+    replay = write_artifacts(capsys, tmp_path / "replay",
+                             [argv[0], "--config", str(cfg)])
+    assert replay == first
+
+
+# sha256 of every file each run writes, recorded from the code before the
+# encoder's section sums and scorer batching were merged; the two larger
+# simulate runs reach the float32 kernel, its window rescore and both
+# layouts of the outer section sums
+GOLDEN_RUNS = {
+    **ARTIFACT_RUNS,
+    "simulate_14_6_16": ["simulate", "--n", "14", "--L", "6", "--M", "16",
+                         "--D", "0.3", "--trials", "5"],
+    "simulate_16_3_256": ["simulate", "--n", "16", "--L", "3", "--M", "256",
+                          "--D", "0.278193", "--rho2", "2.0", "--trials", "3"],
+}
+GOLDEN_DIGESTS = {
+    "curve_bits/out":
+        "7c60eaa48e25d7d709b1d4d57a50ae730c4e3ddbae981cf2449763b20b6b9f41",
+    "bounds_z2/out":
+        "f1c38372b1620464003ced97e2ed6289518b8d86a06ab5d0243ce8f18d9e29e6",
+    "bounds_z2/out.alpha.csv":
+        "866b0bec7c99905f0caf86423e162b8afa922f9779ffd8fafdf682bdc2009eb6",
+    "bounds_default_grid/out":
+        "5dec854c89b9fa9cc0ec5ec08027abd008c189bb163ef29d895d5f797f07b290",
+    "bounds_default_grid/out.alpha.csv":
+        "0ab89683ad8c5c6b66b8604d8ca532653493980be1c5e3b5a56affa69c575d86",
+    "suen/out":
+        "7e9ec6f704e361c6857dd0ee5bbf3ad0ac9995f6795675f080e2a3cca331a851",
+    "suen_check/out":
+        "69a65ec0c54828f8152fa4cb090b824eaa6f5792fc024585587211eb9fc423b7",
+    "simulate/log":
+        "cc82703a2d45713f6a4c7bd91f3bc75f2356a7780c5a86aee56b29af5a590771",
+    "simulate/out":
+        "991504491736fca9a728bcb46a80205a109dc0fcb4343abb9ecc7b02d8663a51",
+    "robustness/log.gauss_markov_0.csv":
+        "a6910eaebb356f29d759c45c3dc8e599c8c032fbe032067eb953375bebf18e4e",
+    "robustness/log.gaussian_iid.csv":
+        "737e51e0944ecba29a0b757797952cd2f04fada51f9fcf036c97a0e0d7e7b7b1",
+    "robustness/log.laplace_iid.csv":
+        "f185d9aa340c232007e2ba92eb563df0e2da55fe852106255dde262166b96057",
+    "robustness/log.uniform_iid.csv":
+        "02f6cf756c84b3017359d6017210444a3816cc21d9f5ee65322230208faf9eb8",
+    "robustness/out":
+        "5a3ee9bd1d1e8193b121ec5af977f81fd148cc60389710342f9a9eeafd71f72b",
+    "exponent_trend/out":
+        "0c00fb503dd128c27e4083724824991cdf0237ccf7c9878bfd6727ee4202c853",
+    "simulate_14_6_16/log":
+        "f6b75b234929484d7c2f45298615daa35c4cb43f35da4fb96b738e8f272f4f9a",
+    "simulate_14_6_16/out":
+        "e5bf377675805f38c11afea09223294d70ec2b8116e39f4b7a7d917a8e88f295",
+    "simulate_16_3_256/log":
+        "f62e3957e1128ec7c9b79a3f2214d44578a31b078e58d14bdc510c7de1d39ec1",
+    "simulate_16_3_256/out":
+        "7430e9eaf9c2bd8d88418de3d3c2a8e873e932cc1c621fadfd5894eddef052ed",
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_RUNS))
+def test_artifacts_keep_their_recorded_bytes(tmp_path, capsys, key):
+    files = write_artifacts(capsys, tmp_path / key, GOLDEN_RUNS[key])
+    digests = {f"{key}/{name}": hashlib.sha256(data).hexdigest()
+               for name, data in files.items()}
+    assert digests == {k: v for k, v in GOLDEN_DIGESTS.items()
+                       if k.startswith(key + "/")}
 
 
 def test_config_file_for_another_subcommand_exits_2(tmp_path, capsys):

@@ -323,6 +323,25 @@ def test_batched_scorer_equals_per_codeword_dot(n):
         assert score == float(e @ e)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, encoder._SCORE_CHUNK])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+def test_scorer_batch_size_does_not_change_its_values(monkeypatch, chunk, lead):
+    p = make_params(6, 3, 5, 1.0, 0.5, seed=3)
+    rng = _rng(7)
+    columns = rng.normal(size=lead + (p.n_columns, p.n))
+    source = rng.normal(size=p.n)
+    ranks = rng.integers(0, p.n_codewords, size=300)
+    want = np.empty(lead + ranks.shape)
+    for at in np.ndindex(lead):
+        mt = DesignMatrix(p, columns[at].T)
+        for i, rank in enumerate(ranks):
+            e = source - synthesize(mt, beta_unrank(int(rank), p.L, p.M))
+            want[at + (i,)] = e @ e
+    monkeypatch.setattr(encoder, "_SCORE_CHUNK", chunk)
+    got = encoder._exact_sq(p, columns, source, ranks)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_identical_columns_tie_en_masse_quickly():
     # every one of the 262,144 codewords ties, so all of them fall in the
     # rescore window; the batched rescore keeps that well under a second

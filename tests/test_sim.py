@@ -288,6 +288,16 @@ def test_validate_bounds_counts_distortion_equal_to_D_as_covered(monkeypatch):
     assert check.empirical_p == 0.0
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_validate_bounds_rejects_no_samples_before_drawing(monkeypatch, tiny,
+                                                           samples):
+    def no_draws(p, seeds):
+        raise AssertionError("matrices drawn before the arguments were checked")
+    monkeypatch.setattr(sp.sim, "design_columns", no_draws)
+    with pytest.raises(ValueError, match="n_prob_samples"):
+        validate_bounds(tiny, 0.87, 50, n_prob_samples=samples, seed=3)
+
+
 @pytest.mark.parametrize("block", [1, 7 * 12 * 64, 10 ** 9])
 def test_validate_bounds_independent_of_block_size(monkeypatch, tiny, block):
     # the block holds _COVER_BLOCK // (M^L n) matrices: 1, 7 (which does
