@@ -22,22 +22,24 @@ call per batch of ranks. The search finds its argmin in two steps:
    inner block of M^k column sums x; the remaining sections form the
    outer ranks, whose residual rows r = s - c * outer are built a chunk
    at a time inside the tile loop, from the outer section sums kept as
-   two gathered factors. The inner block is augmented with the row
-   c^2 |x|^2 below -2c x, the residual rows with a column of ones, so one
-   float32 matrix product per row tile gives c^2 |x|^2 - 2c r.x for every
-   candidate of the tile. Before the cast to float32, every input is scaled by a power
-   of two near 1 / Lam, where Lam bounds every codeword error norm; the
-   scaling is exact, and float32 then neither overflows nor loses the
+   two gathered factors. The inner block is augmented with the rows
+   c^2 |x|^2 and ones below -2c x, the residual rows with the columns 1
+   and |r|^2 (computed in float64), so one float32 matrix product per row
+   tile gives the whole distance |r|^2 - 2c r.x + c^2 |x|^2 of every
+   candidate of the tile, and one contiguous minimum per tile is all the
+   scan keeps. Before the cast to float32, every input is scaled by a
+   power of two near 1 / Lam, where Lam bounds every codeword error norm;
+   the scaling is exact, and float32 then neither overflows nor loses the
    bound to underflow. Tiles are sized to stay in L2 and in the BLAS
    small-matrix path, and the inner block and the tile start on a cache
-   line; each row's minimum is taken in place and |r|^2,
-   computed in float64, is added to the row minima only.
+   line.
 2. An exact rescore of the window. Kernel values differ from the scaled
    _exact_sq by at most a rigorous rounding bound tol (_kernel_tol, at
    the float32 unit roundoff), so every exact minimum lies within 2 tol
-   of the kernel minimum. Every candidate inside that window is rescored
-   with _exact_sq, one call per batch of window rows, and the smallest
-   rank among the exact minima wins. The result therefore does not depend
+   of the kernel minimum. Every tile whose minimum lies inside that
+   window is computed again, each of its candidates inside the window is
+   rescored with _exact_sq, one call per tile, and the smallest rank
+   among the exact minima wins. The result therefore does not depend
    on the kernel's rounding, precision or tile size.
 
 A plain oracle that scores every rank with the same scorer
@@ -73,7 +75,7 @@ STATUS_TRIVIAL_ZERO = "trivial_zero"
 # Inner sections are expanded while the inner block stays this narrow, so
 # the augmented block and one tile of kernel values fit in L2 together.
 # At least one section stays outer: the inner block costs n * M^k to build
-# and to augment, which must stay small against the scan's (n + 1) * M^L.
+# and to augment, which must stay small against the scan's (n + 2) * M^L.
 _INNER_COLS = 4096
 # Bytes of float32 kernel values per row tile: small enough that a tile,
 # the augmented block and the residual rows stay in L2 (2 MiB per core on
@@ -209,18 +211,19 @@ def _kernel_tol(matrix: DesignMatrix, source: np.ndarray) -> Tuple[float, float]
       moving an error vector of norm at most Lam' by at most u Lam', and
       its square by 2 u Lam'^2: 4L + 6;
     - the scorer's dot product: n;
-    - |r|^2 in float64 and its addition to the float32 row value: n + 1;
+    - |r|^2, computed in float64 and rounded to float32: n + 1;
     - rounding r and c x to float32 moves the cross term 2c r.x by
       4 u Lam'^2, and c^2 |x|^2, computed in float64 and rounded to
       float32, moves by (n + 2) u Lam'^2: n + 6;
-    - the length-(n + 1) float32 product sums terms whose magnitudes total
-      at most 3 Lam'^2: 3 (n + 1).
-    That is (6n + 4L + 16) u Lam'^2. Underflow adds at most tau per
-    float32 cast of the 2n + 1 inputs that reach a kernel value (times a
+    - the length-(n + 2) float32 product sums terms whose magnitudes total
+      at most 4 Lam'^2 (2 Lam'^2 for the cross term, Lam'^2 each for
+      |r|^2 and c^2 |x|^2): 4 (n + 2).
+    That is (7n + 4L + 21) u Lam'^2. Underflow adds at most tau per
+    float32 cast of the 2n + 2 inputs that reach a kernel value (times a
     factor below 2, the other factor's bound) and per operation of the
-    product: (6n + 2) tau. The returned bound is four times the sum,
-    which covers the higher-order terms and the rounding of Lam and of
-    the rescore limit."""
+    product, n multiplications and n + 1 additions: (6n + 5) tau. The
+    returned bound is four times the sum, which covers the higher-order
+    terms and the rounding of Lam and of the rescore limit."""
     p = matrix.params
     col_norms = np.sqrt(np.einsum("ij,ij->j", matrix.entries, matrix.entries))
     lam = math.sqrt(float(source @ source)) \
@@ -229,8 +232,8 @@ def _kernel_tol(matrix: DesignMatrix, source: np.ndarray) -> Tuple[float, float]
         raise ValueError("design matrix holds non-finite entries")
     mant, exp = math.frexp(lam)
     u, tau = 2.0 ** -24, 2.0 ** -126
-    tol = 4.0 * ((6 * p.n + 4 * p.L + 16) * u * mant * mant
-                 + (6 * p.n + 2) * tau)
+    tol = 4.0 * ((7 * p.n + 4 * p.L + 21) * u * mant * mant
+                 + (6 * p.n + 5) * tau)
     return math.ldexp(1.0, -exp), tol
 
 
@@ -257,11 +260,12 @@ class _Plan:
         columns = matrix.entries.T
         cx = _column_sums(columns, M, np.arange(M ** k), 0, k) * cs
         self.width = len(cx)
-        # augmented inner block: -2c x above c^2 |x|^2, so that the row
-        # [r, 1] times it gives c^2 |x|^2 - 2c r.x
-        self.aug = _aligned_empty((n + 1, self.width))
+        # augmented inner block: -2c x above c^2 |x|^2 and ones, so that
+        # the row [r, 1, |r|^2] times it gives |r|^2 - 2c r.x + c^2 |x|^2
+        self.aug = _aligned_empty((n + 2, self.width))
         np.multiply(cx.T, -2.0, out=self.aug[:n])
         self.aug[n] = np.einsum("ij,ij->i", cx, cx)
+        self.aug[n + 1] = 1.0
         h = max(k, L - 1)
         # one row per rank, so each residual row is contiguous
         self.fast = _column_sums(columns, M, np.arange(M ** (h - k)), k, h) * cs
@@ -271,7 +275,7 @@ class _Plan:
         # kernel rows per tile, and residual rows per chunk built at once,
         # within _TILE_BYTES of float64
         self.step = max(1, min(_TILE_BYTES // (4 * self.width),
-                               _TILE_MACS // ((n + 1) * self.width)))
+                               _TILE_MACS // ((n + 2) * self.width)))
         self.chunk = max(1, _TILE_BYTES // (8 * n))
 
     def residuals(self, outer: np.ndarray) -> np.ndarray:
@@ -280,54 +284,59 @@ class _Plan:
         return self.slow[outer // fast_rows] - self.fast[outer % fast_rows]
 
 
-def _augmented(resid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The float32 rows [r, 1] of residual rows r, and |r|^2 in float64."""
-    lhs = np.ones((resid.shape[0], resid.shape[1] + 1), dtype=np.float32)
-    lhs[:, :-1] = resid
-    return lhs, np.einsum("ij,ij->i", resid, resid)
+def _augmented(resid: np.ndarray) -> np.ndarray:
+    """The float32 rows [r, 1, |r|^2] of residual rows r, with |r|^2
+    computed in float64."""
+    n = resid.shape[1]
+    lhs = np.empty((resid.shape[0], n + 2), dtype=np.float32)
+    lhs[:, :n] = resid
+    lhs[:, n] = 1.0
+    lhs[:, n + 1] = np.einsum("ij,ij->i", resid, resid)
+    return lhs
 
 
-def _scan_rows(plan: _Plan) -> np.ndarray:
-    """Minimum kernel value c^2 |x|^2 - 2c r.x + |r|^2 of every outer rank.
+def _scan_tiles(plan: _Plan) -> Tuple[np.ndarray, np.ndarray]:
+    """Minimum kernel value |r|^2 - 2c r.x + c^2 |x|^2 of every row tile,
+    and the tile's range [lo, hi) of outer ranks; the ranges partition
+    [0, plan.rows) in increasing order.
 
     Residual rows are built a chunk of consecutive outer ranks at a time:
     part of one block of the last section, or whole blocks. Each tile of
-    the chunk's float32 kernel values is reduced in place."""
+    the chunk's float32 kernel values is reduced to its minimum."""
     fast_rows, slow_rows = len(plan.fast), len(plan.slow)
     part = min(fast_rows, plan.chunk)
     blocks = max(1, plan.chunk // fast_rows)
-    rowmin = np.empty(plan.rows, dtype=np.float32)
-    resid_sq = np.empty(plan.rows)
+    mins, ranges = [], []
     out = _aligned_empty((min(plan.step, plan.rows), plan.width))
     for j in range(0, slow_rows, blocks):
         for i in range(0, fast_rows, part):
             resid = plan.slow[j:j + blocks, None] - plan.fast[None, i:i + part]
-            resid = resid.reshape(-1, plan.fast.shape[1])
+            lhs = _augmented(resid.reshape(-1, plan.fast.shape[1]))
             lo = j * fast_rows + i
-            lhs, resid_sq[lo:lo + len(resid)] = _augmented(resid)
-            for start in range(0, len(resid), plan.step):
-                stop = min(start + plan.step, len(resid))
+            for start in range(0, len(lhs), plan.step):
+                stop = min(start + plan.step, len(lhs))
                 tile = out[:stop - start]
                 np.matmul(lhs[start:stop], plan.aug, out=tile)
-                np.minimum.reduce(tile, axis=1, out=rowmin[lo + start:lo + stop])
-    return rowmin + resid_sq
+                mins.append(tile.min())
+                ranges.append((lo + start, lo + stop))
+    return np.array(mins), np.array(ranges)
 
 
 def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
     """Rank of the distance-minimizing codeword (smallest rank on ties)
     and its exact squared distance _exact_sq (unnormalized)."""
     plan = _Plan(matrix, source)
-    rowmin = _scan_rows(plan)
-    limit = float(rowmin.min()) + 2.0 * plan.tol
+    mins, ranges = _scan_tiles(plan)
+    # a float32 value is <= limit exactly when it is <= limit rounded to
+    # float32, so comparing in float32 keeps the whole window
+    limit = float(mins.min()) + 2.0 * plan.tol
     best_rank, best = -1, math.inf
-    window = np.flatnonzero(rowmin <= limit)
-    # window rows, then columns, ascending: ranks are visited in
-    # increasing order, so the first exact minimum has the smallest rank
-    for start in range(0, len(window), plan.step):
-        outer = window[start:start + plan.step]
-        lhs, resid_sq = _augmented(plan.residuals(outer))
-        i, j = np.nonzero(lhs @ plan.aug + resid_sq[:, None] <= limit)
-        ranks = outer[i] * plan.width + j
+    # window tiles ascending, each one's values in row-major order, which
+    # is rank order: ranks are visited in increasing order, so the first
+    # exact minimum has the smallest rank
+    for lo, hi in ranges[mins <= limit]:
+        lhs = _augmented(plan.residuals(np.arange(lo, hi)))
+        ranks = lo * plan.width + np.flatnonzero(lhs @ plan.aug <= limit)
         scores = _exact_sq(matrix.params, matrix.entries.T, source, ranks)
         at = int(np.argmin(scores))
         if scores[at] < best:

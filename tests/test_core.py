@@ -240,9 +240,11 @@ def test_matrix_size_guard(monkeypatch):
 @pytest.mark.parametrize("n, L, M", [(12, 3, 4), (5, 3, 3)])
 def test_block_draw_equals_per_seed_matrices(n, L, M):
     # 5-3-3 holds an odd 45 entries, so each matrix's last Box-Muller pair
-    # loses its second normal and the next matrix starts a fresh pair
+    # loses its second normal and the next matrix starts a fresh pair; the
+    # seeds repeated at the end must draw as they did from a fresh generator
     p = make_params(n, L, M, 1.0, 0.5, rho2=1.2, allow_low_rate=True)
-    seeds = [0, 1, 2 ** 64 - 1, 6, 123_456_789_012, 7, 2 ** 40 + 3]
+    seeds = [0, 1, 2 ** 64 - 1, 6, 123_456_789_012, 7, 2 ** 40 + 3, 2 ** 63, 0,
+             2 ** 64 - 1]
     block = design_columns(p, seeds)
     assert block.shape == (len(seeds), p.n_columns, p.n)
     assert block.flags.c_contiguous

@@ -356,6 +356,24 @@ def test_identical_columns_tie_en_masse_quickly():
     assert res == encode_oracle(mt, source)
 
 
+def test_identical_columns_window_spans_tiles(monkeypatch):
+    # every codeword ties, so every one of the six 3-row tiles of this
+    # 8-3-16 search lies in the window; rank 0 sits in the first tile and
+    # must survive the comparisons with the later tiles
+    monkeypatch.setattr(encoder, "_TILE_BYTES", 4 * 256 * 3)
+    p = make_params(8, 3, 16, 1.0, 0.5, seed=0)
+    col = np.linspace(-1.0, 1.0, p.n)
+    mt = DesignMatrix(p, np.tile(col[:, None], (1, p.n_columns)))
+    source = col * np.sqrt((p.D + p.rho2) / 2 / sample_power(col))
+    plan = encoder._Plan(mt, source)
+    mins, ranges = encoder._scan_tiles(plan)
+    assert len(ranges) == 6
+    assert (mins <= float(mins.min()) + 2.0 * plan.tol).all()
+    res = encode_min_distance(mt, source)
+    assert res.beta == BetaVector((0, 0, 0))
+    assert res == encode_oracle(mt, source)
+
+
 def _unscaled_tol(matrix, source):
     scale, tol = encoder._kernel_tol(matrix, source)
     return tol / scale ** 2
@@ -447,7 +465,7 @@ def test_streamed_tiles_match_oracle(monkeypatch, n, L, M, inner_cols,
     width = M ** max(1, min(L - 1, int(np.log(inner_cols) / np.log(M))))
     monkeypatch.setattr(encoder, "_TILE_BYTES", 4 * width * tile_rows)
     if bound == "macs":
-        monkeypatch.setattr(encoder, "_TILE_MACS", (n + 1) * width * tile_rows)
+        monkeypatch.setattr(encoder, "_TILE_MACS", (n + 2) * width * tile_rows)
         monkeypatch.setattr(encoder, "_TILE_BYTES", 4 * width * tile_rows * 8)
     fast_rows = M ** (L - 1) // width if L > 1 else 1
     chunk = encoder._TILE_BYTES // (8 * n)
@@ -455,10 +473,19 @@ def test_streamed_tiles_match_oracle(monkeypatch, n, L, M, inner_cols,
     for trial in range(12):
         p = make_params(n, L, M, 1.0, 0.5, seed=700 + trial)
         mt = build_design_matrix(p)
-        plan = encoder._Plan(mt, np.zeros(p.n))
+        source = _scaled_source(rng, p)
+        plan = encoder._Plan(mt, source)
         assert (plan.width, plan.step) == (width, tile_rows)
         assert (len(plan.fast), plan.chunk) == (fast_rows, chunk)
-        source = _scaled_source(rng, p)
+        # the tiles partition the outer ranks in order, each tile with the
+        # minimum of its own kernel values
+        mins, ranges = encoder._scan_tiles(plan)
+        assert ranges[0, 0] == 0 and ranges[-1, 1] == plan.rows
+        assert (ranges[1:, 0] == ranges[:-1, 1]).all()
+        assert (ranges[:, 0] < ranges[:, 1]).all()
+        for (lo, hi), low in zip(ranges, mins):
+            lhs = encoder._augmented(plan.residuals(np.arange(lo, hi)))
+            assert low == (lhs @ plan.aug).min()
         assert encode_min_distance(mt, source) == encode_oracle(mt, source)
 
 
@@ -471,8 +498,7 @@ def test_kernel_error_within_tolerance(n, L, M):
         mt = build_design_matrix(p)
         source = rng.normal(size=n)
         plan = encoder._Plan(mt, source)
-        lhs, resid_sq = encoder._augmented(plan.residuals(np.arange(plan.rows)))
-        kernel = lhs @ plan.aug + resid_sq[:, None]
+        kernel = encoder._augmented(plan.residuals(np.arange(plan.rows))) @ plan.aug
         exact = encoder._exact_sq(mt.params, mt.entries.T, source,
                                   np.arange(p.n_codewords))
         exact = exact.reshape(plan.rows, plan.width) * plan.scale ** 2
