@@ -8,10 +8,10 @@ power gamma2. The matrix is a pure function of a 64-bit seed: raw words
 come from the Philox counter-based generator and are mapped to normals by
 an in-package Box-Muller transform, filled column by column (column 0 rows
 0..n-1, then column 1, ...), so the bytes do not depend on any library's
-Gaussian sampler. A block of matrices (design_columns) draws each seed's
-words apart and maps the concatenated words with the same Box-Muller code
-in one pass, so every matrix of the block equals its build_design_matrix
-bit for bit.
+Gaussian sampler. Every matrix is drawn by design_columns, alone or in a
+block: each seed's words are drawn apart and the block's concatenated
+words are mapped by the same elementwise Box-Muller code, so a matrix does
+not depend on the block it is drawn in.
 """
 
 from __future__ import annotations
@@ -259,21 +259,6 @@ def _box_muller(raw: np.ndarray) -> np.ndarray:
     return z
 
 
-def _stream_words(count: int) -> int:
-    """Raw words a stream of `count` normals draws: whole pairs."""
-    return 2 * ((count + 1) // 2)
-
-
-def gaussian_stream(seed: int, count: int) -> np.ndarray:
-    """`count` standard normals from the Philox stream keyed by `seed`,
-    mapped by _box_muller; an odd count drops the last normal of the
-    final pair."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    raw = Philox(key=seed).random_raw(_stream_words(count))
-    return _box_muller(raw)[:count]
-
-
 def _check_entries(params: SparcParams) -> int:
     total = params.n * params.n_columns
     if total > MAX_MATRIX_ENTRIES:
@@ -284,17 +269,18 @@ def _check_entries(params: SparcParams) -> int:
 
 def design_columns(params: SparcParams, seeds: Sequence[int]) -> np.ndarray:
     """The columns of the design matrices seeded by `seeds`, drawn as one
-    block of shape (len(seeds), M*L, n) in C order: entry [i, j, t] equals
-    build_design_matrix(params with seed seeds[i]).entries[t, j] bit for
-    bit. Each seed draws its own Philox words; Box-Muller then maps the
-    block's concatenated words in one pass.
+    block of shape (len(seeds), M*L, n) in C order: entry [i, j, t] is row
+    t of column j of the matrix seeded by seeds[i]. Each seed draws the
+    Philox words of whole Box-Muller pairs, so an odd n*M*L drops the last
+    normal of its final pair; Box-Muller then maps the block's
+    concatenated words in one pass.
 
     One Philox serves the whole block. Before each seed it is given the
     state Philox(key=seed) starts from for a 64-bit seed (key [seed, 0], a
     zero counter and an empty buffer), which costs a fraction of a
     construction."""
     total = _check_entries(params)
-    words = _stream_words(total)
+    words = 2 * ((total + 1) // 2)
     raw = np.empty((len(seeds), words), dtype=np.uint64)
     bitgen = Philox(key=0)
     state = bitgen.state   # zero counter, empty buffer
@@ -322,12 +308,6 @@ class DesignMatrix:
                 f"entries shape {self.entries.shape} != {(p.n, p.n_columns)}")
         self.entries.setflags(write=False)
 
-    def section(self, l: int) -> np.ndarray:
-        if not 0 <= l < self.params.L:
-            raise ValueError(f"section {l} outside [0, {self.params.L})")
-        M = self.params.M
-        return self.entries[:, l * M:(l + 1) * M]
-
     def content_hash(self) -> str:
         h = hashlib.sha256()
         h.update(_pack_header(self.params))
@@ -337,10 +317,9 @@ class DesignMatrix:
 
 def build_design_matrix(params: SparcParams) -> DesignMatrix:
     """Generate the dictionary for params: i.i.d N(0,1) entries in
-    column-major order from the documented seeded stream."""
-    flat = gaussian_stream(params.seed, _check_entries(params))
-    entries = flat.reshape((params.n, params.n_columns), order="F")
-    return DesignMatrix(params, entries)
+    column-major order from the documented seeded stream, drawn as a block
+    of one matrix (design_columns)."""
+    return DesignMatrix(params, design_columns(params, [params.seed])[0].T)
 
 
 def synthesize(matrix: DesignMatrix, beta: BetaVector) -> np.ndarray:

@@ -16,7 +16,8 @@ of source - synthesize(beta), with the codeword built by that gather, for
 any number of ranks, of one design or of a stack of designs
 (all_distortions, the ensemble side of bound validation). The scorer
 works through the ranks _SCORE_CHUNK at a time, so each caller makes one
-call per batch of ranks. The search finds its argmin in two steps:
+call per batch of ranks. The search finds its argmin in one pass over
+the kernel tiles, in two steps per tile:
 
 1. A float32 tiled kernel. The first k sections are gathered into an
    inner block of M^k column sums x; the remaining sections form the
@@ -27,20 +28,21 @@ call per batch of ranks. The search finds its argmin in two steps:
    and |r|^2 (computed in float64), so one float32 matrix product per row
    tile gives the whole distance |r|^2 - 2c r.x + c^2 |x|^2 of every
    candidate of the tile, and one contiguous minimum per tile is all the
-   scan keeps. Before the cast to float32, every input is scaled by a
+   scan needs to decide whether the tile is rescored. Before the cast to float32, every input is scaled by a
    power of two near 1 / Lam, where Lam bounds every codeword error norm;
    the scaling is exact, and float32 then neither overflows nor loses the
    bound to underflow. Tiles are sized to stay in L2 and in the BLAS
    small-matrix path, and the inner block and the tile start on a cache
    line.
-2. An exact rescore of the window. Kernel values differ from the scaled
-   _exact_sq by at most a rigorous rounding bound tol (_kernel_tol, at
-   the float32 unit roundoff), so every exact minimum lies within 2 tol
-   of the kernel minimum. Every tile whose minimum lies inside that
-   window is computed again, each of its candidates inside the window is
-   rescored with _exact_sq, one call per tile, and the smallest rank
-   among the exact minima wins. The result therefore does not depend
-   on the kernel's rounding, precision or tile size.
+2. An exact rescore of the window, during the same pass. Kernel values
+   differ from the scaled _exact_sq by at most a rigorous rounding bound
+   tol (_kernel_tol, at the float32 unit roundoff), so every exact
+   minimum lies within 2 tol of the kernel minimum. As each tile comes
+   out of the product, its candidates within 2 tol of the kernel minimum
+   so far are rescored with _exact_sq, one call per tile, and a tile
+   whose minimum lies above that limit is skipped; the smallest rank
+   among the exact minima wins. The result therefore does not depend on
+   the kernel's rounding, precision or tile size.
 
 A plain oracle that scores every rank with the same scorer
 (encode_oracle) cross-validates it in tests.
@@ -246,8 +248,8 @@ class _Plan:
     sums are kept as two factors: fast, over sections k..L-2 (or none),
     and slow, over the last section, so outer rank j * len(fast) + i has
     the residual row r = (s - c slow[j]) - c fast[i]. The plan stores
-    those two scaled terms and builds residual rows only for the outer
-    ranks a caller asks for."""
+    those two scaled terms, and _tiles builds the residual rows from them
+    a chunk at a time."""
 
     def __init__(self, matrix: DesignMatrix, source: np.ndarray):
         p = matrix.params
@@ -278,11 +280,6 @@ class _Plan:
                                _TILE_MACS // ((n + 2) * self.width)))
         self.chunk = max(1, _TILE_BYTES // (8 * n))
 
-    def residuals(self, outer: np.ndarray) -> np.ndarray:
-        """Residual rows of the given outer ranks."""
-        fast_rows = len(self.fast)
-        return self.slow[outer // fast_rows] - self.fast[outer % fast_rows]
-
 
 def _augmented(resid: np.ndarray) -> np.ndarray:
     """The float32 rows [r, 1, |r|^2] of residual rows r, with |r|^2
@@ -295,48 +292,58 @@ def _augmented(resid: np.ndarray) -> np.ndarray:
     return lhs
 
 
-def _scan_tiles(plan: _Plan) -> Tuple[np.ndarray, np.ndarray]:
-    """Minimum kernel value |r|^2 - 2c r.x + c^2 |x|^2 of every row tile,
-    and the tile's range [lo, hi) of outer ranks; the ranges partition
-    [0, plan.rows) in increasing order.
+def _tiles(plan: _Plan):
+    """Every row tile of float32 kernel values |r|^2 - 2c r.x + c^2 |x|^2,
+    as (first outer rank, tile), in increasing rank order; the tiles' rows
+    partition [0, plan.rows). Each tile is a view of one buffer that the
+    next tile overwrites.
 
     Residual rows are built a chunk of consecutive outer ranks at a time:
-    part of one block of the last section, or whole blocks. Each tile of
-    the chunk's float32 kernel values is reduced to its minimum."""
+    part of one block of the last section, or whole blocks."""
     fast_rows, slow_rows = len(plan.fast), len(plan.slow)
     part = min(fast_rows, plan.chunk)
     blocks = max(1, plan.chunk // fast_rows)
-    mins, ranges = [], []
     out = _aligned_empty((min(plan.step, plan.rows), plan.width))
     for j in range(0, slow_rows, blocks):
         for i in range(0, fast_rows, part):
             resid = plan.slow[j:j + blocks, None] - plan.fast[None, i:i + part]
             lhs = _augmented(resid.reshape(-1, plan.fast.shape[1]))
-            lo = j * fast_rows + i
             for start in range(0, len(lhs), plan.step):
-                stop = min(start + plan.step, len(lhs))
-                tile = out[:stop - start]
-                np.matmul(lhs[start:stop], plan.aug, out=tile)
-                mins.append(tile.min())
-                ranges.append((lo + start, lo + stop))
-    return np.array(mins), np.array(ranges)
+                tile = out[:min(plan.step, len(lhs) - start)]
+                np.matmul(lhs[start:start + plan.step], plan.aug, out=tile)
+                yield j * fast_rows + i + start, tile
 
 
 def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
     """Rank of the distance-minimizing codeword (smallest rank on ties)
-    and its exact squared distance _exact_sq (unnormalized)."""
+    and its exact squared distance _exact_sq (unnormalized).
+
+    One pass over the kernel tiles keeps limit = low + 2 tol, where low is
+    the running kernel minimum. A tile whose minimum exceeds limit is
+    skipped; otherwise low takes in the tile's minimum, each of its
+    candidates with a kernel value <= limit is rescored with _exact_sq,
+    one call per tile, and a result replaces the best only when its exact
+    score is strictly smaller. This is the exact argmin:
+    - every exact minimum lies within 2 tol of the final kernel minimum
+      K, since kernel values are within tol of the scaled exact scores;
+      low never falls below K, so limit never falls below K + 2 tol, and
+      every candidate of that final window was rescored when its tile was
+      scanned;
+    - tiles come in rank order, each one's values in row-major order,
+      which is rank order, and only a strictly smaller exact score wins, so
+      ties go to the smallest rank.
+    Memory stays bounded by one tile's candidates."""
     plan = _Plan(matrix, source)
-    mins, ranges = _scan_tiles(plan)
-    # a float32 value is <= limit exactly when it is <= limit rounded to
-    # float32, so comparing in float32 keeps the whole window
-    limit = float(mins.min()) + 2.0 * plan.tol
-    best_rank, best = -1, math.inf
-    # window tiles ascending, each one's values in row-major order, which
-    # is rank order: ranks are visited in increasing order, so the first
-    # exact minimum has the smallest rank
-    for lo, hi in ranges[mins <= limit]:
-        lhs = _augmented(plan.residuals(np.arange(lo, hi)))
-        ranks = lo * plan.width + np.flatnonzero(lhs @ plan.aug <= limit)
+    best_rank, best, limit = -1, math.inf, math.inf
+    for lo, tile in _tiles(plan):
+        tile_min = float(tile.min())
+        if tile_min > limit:
+            continue
+        # rounding is monotonic, so this is low + 2 tol for the new low
+        limit = min(limit, tile_min + 2.0 * plan.tol)
+        # a float32 value is <= limit exactly when it is <= limit rounded to
+        # float32, so comparing in float32 keeps the whole window
+        ranks = lo * plan.width + np.flatnonzero(tile <= limit)
         scores = _exact_sq(matrix.params, matrix.entries.T, source, ranks)
         at = int(np.argmin(scores))
         if scores[at] < best:

@@ -6,6 +6,7 @@ import hashlib
 import math
 
 import numpy as np
+from numpy.random import Philox
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from sparcomp import core
 import sparcomp.theory as th
 from sparcomp.core import (
     BetaVector, LowRateError, beta_rank, beta_unrank, build_design_matrix,
-    design_columns, gaussian_stream, load_matrix, make_params, pack_beta_bits,
+    design_columns, load_matrix, make_params, pack_beta_bits,
     read_matrix_header, save_matrix, synthesize, unpack_beta_bits,
 )
 
@@ -164,26 +165,34 @@ FROZEN_STREAM_0 = [
 ]
 
 
+def _stream(n, L, M, seed):
+    # the seeded Gaussian stream is the matrix's column-major entries
+    p = make_params(n, L, M, 1.0, 0.5, rho2=1.02, seed=seed, allow_low_rate=True)
+    return build_design_matrix(p).entries.ravel(order="F")
+
+
 def test_gaussian_stream_frozen_prefix():
-    got = gaussian_stream(0, 6)
+    got = _stream(8, 3, 4, seed=0)[:6]
     assert np.allclose(got, FROZEN_STREAM_0, rtol=0, atol=0)
 
 
 def test_gaussian_stream_prefix_stability():
-    # extending the stream must not change earlier values
-    a = gaussian_stream(7, 10)
-    b = gaussian_stream(7, 1000)
+    # more columns under one seed must not change earlier values
+    a = _stream(5, 1, 2, seed=7)
+    b = _stream(5, 4, 50, seed=7)
+    assert len(a) == 10 and len(b) == 1000
     assert np.array_equal(a, b[:10])
 
 
 def test_gaussian_stream_moments():
-    x = gaussian_stream(3, 200_000)
+    x = _stream(100, 2, 1000, seed=3)
+    assert len(x) == 200_000
     assert abs(float(x.mean())) < 0.01
     assert float(x.std()) == pytest.approx(1.0, abs=0.01)
 
 
 def test_gaussian_stream_seed_sensitivity():
-    assert not np.array_equal(gaussian_stream(0, 8), gaussian_stream(1, 8))
+    assert not np.array_equal(_stream(4, 1, 2, seed=0), _stream(4, 1, 2, seed=1))
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +208,10 @@ def small():
 def test_matrix_shape_and_sections(small):
     p, mt = small
     assert mt.entries.shape == (p.n, p.n_columns)
-    assert mt.section(0).shape == (p.n, p.M)
-    assert np.array_equal(mt.section(2), mt.entries[:, 8:12])
-    with pytest.raises(ValueError):
-        mt.section(3)
+    # section l owns columns [l*M, (l+1)*M), the l-th of the (L, M, n)
+    # view of the columns that the encoder takes
+    sections = mt.entries.T.reshape(p.L, p.M, p.n)
+    assert np.array_equal(sections[2], mt.entries[:, 8:12].T)
 
 
 def test_matrix_entries_read_only(small):
@@ -212,10 +221,14 @@ def test_matrix_entries_read_only(small):
 
 
 def test_matrix_column_major_fill(small):
-    # entries come from one documented stream, column-major
+    # entries come from one documented stream, column-major: the words of
+    # a fresh Philox keyed by the seed, mapped by Box-Muller
     p, mt = small
-    flat = gaussian_stream(p.seed, p.n * p.n_columns)
+    count = p.n * p.n_columns
+    assert count % 2 == 0
+    flat = core._box_muller(Philox(key=p.seed).random_raw(count))
     assert np.array_equal(mt.entries, flat.reshape((p.n, p.n_columns), order="F"))
+    assert mt.entries.flags.f_contiguous
 
 
 def test_matrix_hash_frozen(small):
@@ -269,8 +282,8 @@ def test_synthesize_is_linear(small):
     p, mt = small
     beta = BetaVector((2, 0, 3))
     word = synthesize(mt, beta)
-    manual = p.c * (mt.section(0)[:, 2] + mt.section(1)[:, 0]
-                    + mt.section(2)[:, 3])
+    manual = p.c * (mt.entries[:, 2] + mt.entries[:, p.M]
+                    + mt.entries[:, 2 * p.M + 3])
     # identical accumulation order -> bit-exact
     assert np.array_equal(word, manual)
 

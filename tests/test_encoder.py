@@ -366,12 +366,33 @@ def test_identical_columns_window_spans_tiles(monkeypatch):
     mt = DesignMatrix(p, np.tile(col[:, None], (1, p.n_columns)))
     source = col * np.sqrt((p.D + p.rho2) / 2 / sample_power(col))
     plan = encoder._Plan(mt, source)
-    mins, ranges = encoder._scan_tiles(plan)
-    assert len(ranges) == 6
+    mins = np.array([tile.min() for _, tile in encoder._tiles(plan)])
+    assert len(mins) == 6
     assert (mins <= float(mins.min()) + 2.0 * plan.tol).all()
     res = encode_min_distance(mt, source)
     assert res.beta == BetaVector((0, 0, 0))
     assert res == encode_oracle(mt, source)
+
+
+def test_all_ties_build_each_residual_row_once(monkeypatch):
+    # every tile lies in the window, and the window is rescored during the
+    # scan, so no residual row is built a second time
+    monkeypatch.setattr(encoder, "_TILE_BYTES", 4 * 256 * 3)
+    p = make_params(8, 3, 16, 1.0, 0.5, seed=0)
+    col = np.linspace(-1.0, 1.0, p.n)
+    mt = DesignMatrix(p, np.tile(col[:, None], (1, p.n_columns)))
+    source = col * np.sqrt((p.D + p.rho2) / 2 / sample_power(col))
+    built = []
+    augmented = encoder._augmented
+
+    def counted(resid):
+        built.append(len(resid))
+        return augmented(resid)
+
+    monkeypatch.setattr(encoder, "_augmented", counted)
+    res = encode_min_distance(mt, source)
+    assert res.beta == BetaVector((0, 0, 0))
+    assert sum(built) == encoder._Plan(mt, source).rows
 
 
 def _unscaled_tol(matrix, source):
@@ -401,6 +422,12 @@ def test_float32_near_ties_match_oracle(seed, r1, r2, k):
     slow = encode_oracle(mt, source)
     assert fast.beta == slow.beta
     assert fast.distortion == slow.distortion
+    # one-row tiles, as in test_tiled_search_matches_oracle_across_tiles,
+    # put the pair in different tiles unless r1 // 4 == r2 // 4
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoder, "_INNER_COLS", 4)
+        mp.setattr(encoder, "_TILE_BYTES", 2 * 4 * 8)
+        assert encode_min_distance(mt, source) == slow
 
 
 @given(st.integers(min_value=0, max_value=2**32),
@@ -477,15 +504,16 @@ def test_streamed_tiles_match_oracle(monkeypatch, n, L, M, inner_cols,
         plan = encoder._Plan(mt, source)
         assert (plan.width, plan.step) == (width, tile_rows)
         assert (len(plan.fast), plan.chunk) == (fast_rows, chunk)
-        # the tiles partition the outer ranks in order, each tile with the
-        # minimum of its own kernel values
-        mins, ranges = encoder._scan_tiles(plan)
-        assert ranges[0, 0] == 0 and ranges[-1, 1] == plan.rows
-        assert (ranges[1:, 0] == ranges[:-1, 1]).all()
-        assert (ranges[:, 0] < ranges[:, 1]).all()
-        for (lo, hi), low in zip(ranges, mins):
-            lhs = encoder._augmented(plan.residuals(np.arange(lo, hi)))
-            assert low == (lhs @ plan.aug).min()
+        # the tiles partition the outer ranks in order, each tile at most
+        # plan.step rows of the kernel values of its own residual rows
+        at = 0
+        for lo, tile in encoder._tiles(plan):
+            assert lo == at and 0 < len(tile) <= plan.step
+            at += len(tile)
+            outer = np.arange(lo, at)
+            resid = plan.slow[outer // fast_rows] - plan.fast[outer % fast_rows]
+            assert np.array_equal(tile, encoder._augmented(resid) @ plan.aug)
+        assert at == plan.rows
         assert encode_min_distance(mt, source) == encode_oracle(mt, source)
 
 
@@ -498,7 +526,7 @@ def test_kernel_error_within_tolerance(n, L, M):
         mt = build_design_matrix(p)
         source = rng.normal(size=n)
         plan = encoder._Plan(mt, source)
-        kernel = encoder._augmented(plan.residuals(np.arange(plan.rows))) @ plan.aug
+        kernel = np.concatenate([tile.copy() for _, tile in encoder._tiles(plan)])
         exact = encoder._exact_sq(mt.params, mt.entries.T, source,
                                   np.arange(p.n_codewords))
         exact = exact.reshape(plan.rows, plan.width) * plan.scale ** 2
