@@ -275,18 +275,21 @@ def design_columns(params: SparcParams, seeds: Sequence[int]) -> np.ndarray:
     normal of its final pair; Box-Muller then maps the block's
     concatenated words in one pass.
 
-    One Philox serves the whole block. Before each seed it is given the
-    state Philox(key=seed) starts from for a 64-bit seed (key [seed, 0], a
-    zero counter and an empty buffer), which costs a fraction of a
-    construction."""
+    One Philox serves the whole block: Philox(key=seeds[0]) draws the
+    first matrix, and before each later seed it is given the fresh state of
+    that construction re-keyed to [seed, 0] (a zero counter and an empty
+    buffer), the state Philox(key=seed) starts from for a 64-bit seed, which
+    costs a fraction of a construction."""
     total = _check_entries(params)
     words = 2 * ((total + 1) // 2)
     raw = np.empty((len(seeds), words), dtype=np.uint64)
-    bitgen = Philox(key=0)
-    state = bitgen.state   # zero counter, empty buffer
     for i, seed in enumerate(seeds):
-        state["state"]["key"][:] = (int(seed), 0)
-        bitgen.state = state
+        if i == 0:
+            bitgen = Philox(key=int(seed))
+            fresh = bitgen.state if len(seeds) > 1 else None
+        else:
+            fresh["state"]["key"][:] = (int(seed), 0)
+            bitgen.state = fresh
         raw[i] = bitgen.random_raw(words)
     z = _box_muller(raw.reshape(-1)).reshape(len(seeds), words)
     return np.ascontiguousarray(

@@ -17,7 +17,7 @@ any number of ranks, of one design or of a stack of designs
 (all_distortions, the ensemble side of bound validation). The scorer
 works through the ranks _SCORE_CHUNK at a time, so each caller makes one
 call per batch of ranks. The search finds its argmin in one pass over
-the kernel tiles, in two steps per tile:
+the kernel tiles and one rescore:
 
 1. A float32 tiled kernel. The first k sections are gathered into an
    inner block of M^k column sums x; the remaining sections form the
@@ -25,24 +25,35 @@ the kernel tiles, in two steps per tile:
    at a time inside the tile loop, from the outer section sums kept as
    two gathered factors. The inner block is augmented with the rows
    c^2 |x|^2 and ones below -2c x, the residual rows with the columns 1
-   and |r|^2 (computed in float64), so one float32 matrix product per row
+   and |r|^2 (computed in float64), so one float32 matrix product per
    tile gives the whole distance |r|^2 - 2c r.x + c^2 |x|^2 of every
    candidate of the tile, and one contiguous minimum per tile is all the
-   scan needs to decide whether the tile is rescored. Before the cast to float32, every input is scaled by a
-   power of two near 1 / Lam, where Lam bounds every codeword error norm;
-   the scaling is exact, and float32 then neither overflows nor loses the
-   bound to underflow. Tiles are sized to stay in L2 and in the BLAS
-   small-matrix path, and the inner block and the tile start on a cache
-   line.
-2. An exact rescore of the window, during the same pass. Kernel values
-   differ from the scaled _exact_sq by at most a rigorous rounding bound
-   tol (_kernel_tol, at the float32 unit roundoff), so every exact
-   minimum lies within 2 tol of the kernel minimum. As each tile comes
-   out of the product, its candidates within 2 tol of the kernel minimum
-   so far are rescored with _exact_sq, one call per tile, and a tile
-   whose minimum lies above that limit is skipped; the smallest rank
-   among the exact minima wins. The result therefore does not depend on
-   the kernel's rounding, precision or tile size.
+   scan needs to decide whether the tile joins the rescore window. Before
+   the cast to float32, every input is scaled by a power of two near
+   1 / Lam, where Lam bounds every codeword error norm; the scaling is
+   exact, and float32 then neither overflows nor loses the bound to
+   underflow. Tiles are sized to stay in L2 and in the BLAS small-matrix
+   path, and the inner block and the tile start on a cache line.
+   When the outer rows fill at least _PRUNE_TILES full-width tiles, the
+   search also skips candidates by their projection on u = s / |s|: the
+   error of a candidate is at least |u.r - u.(c x)|. The inner block's
+   columns are ordered by u.(c x), the rows are visited in increasing
+   u.r (separable over the two factors, so no row is built to find it),
+   and each tile multiplies only the contiguous columns whose projection
+   lies within rho of its rows', where rho comes from the kernel minimum
+   so far; rows with no such column are never built.
+2. An exact rescore of the window. Kernel values differ from the scaled
+   _exact_sq by at most a rigorous rounding bound tol (_kernel_tol, at
+   the float32 unit roundoff), so every exact minimum lies within 2 tol
+   of the kernel minimum, and rho keeps every exact minimum among the
+   multiplied candidates (_search_min). As each tile comes out of the
+   product, its candidates within 2 tol of the kernel minimum so far stay
+   pending, and those above a lower limit are dropped; the pending ones
+   are rescored with _exact_sq once, at the end of the scan (or early,
+   keeping only the best, when more than a tile's worth pile up), and the
+   smallest (exact score, rank) wins. The result therefore does not
+   depend on the kernel's rounding, precision, tile size or visiting
+   order.
 
 A plain oracle that scores every rank with the same scorer
 (encode_oracle) cross-validates it in tests.
@@ -154,9 +165,11 @@ def _column_sums(columns: np.ndarray, M: int, ranks: np.ndarray,
     them. An empty range gives zero sums."""
     if lo == hi:
         return np.zeros(columns.shape[:-2] + (len(ranks), columns.shape[-1]))
-    total = np.take(columns, lo * M + ranks % M, axis=-2)
+    rest, digit = np.divmod(ranks, M)
+    total = np.take(columns, lo * M + digit, axis=-2)
     for l in range(lo + 1, hi):
-        total += np.take(columns, l * M + ranks // M ** (l - lo) % M, axis=-2)
+        rest, digit = np.divmod(rest, M)
+        total += np.take(columns, l * M + digit, axis=-2)
     return total
 
 
@@ -239,6 +252,26 @@ def _kernel_tol(matrix: DesignMatrix, source: np.ndarray) -> Tuple[float, float]
     return math.ldexp(1.0, -exp), tol
 
 
+# Plans whose outer rows fill at least this many full-width tiles order
+# their candidates by projection on the source and skip by the projection
+# bound (_search_min). In a smaller plan the first tiles are multiplied in
+# full before the bound can skip anything, and sorting the inner block and
+# the rows costs more than the few tiles left could save.
+_PRUNE_TILES = 8
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v / |v| in float64, or the first axis vector for v = 0. The norm is
+    taken of v / max|v|, so it can neither overflow nor underflow."""
+    peak = float(np.abs(v).max())
+    if peak == 0.0:
+        u = np.zeros_like(v)
+        u[0] = 1.0
+        return u
+    w = v / peak
+    return w / math.sqrt(float(w @ w))
+
+
 class _Plan:
     """One search's float32 kernel inputs, scaled by the power of two from
     _kernel_tol.
@@ -248,8 +281,15 @@ class _Plan:
     sums are kept as two factors: fast, over sections k..L-2 (or none),
     and slow, over the last section, so outer rank j * len(fast) + i has
     the residual row r = (s - c slow[j]) - c fast[i]. The plan stores
-    those two scaled terms, and _tiles builds the residual rows from them
-    a chunk at a time."""
+    those two scaled terms, and _residuals builds the rows from them.
+
+    A plan whose rows fill at least _PRUNE_TILES full-width tiles also
+    projects onto the unit vector u along the source: the columns of the
+    augmented inner block are ordered by increasing px = u.(c x), perm
+    holding the inner rank of each column, and pr holds the projection
+    u.slow[j] - u.fast[i] of each outer rank's residual row, found without
+    forming the row. A smaller plan keeps the columns in rank order (perm
+    is the identity) and px is None."""
 
     def __init__(self, matrix: DesignMatrix, source: np.ndarray):
         p = matrix.params
@@ -259,26 +299,37 @@ class _Plan:
         k = 1
         while k + 1 < L and M ** (k + 1) <= _INNER_COLS:
             k += 1
-        columns = matrix.entries.T
-        cx = _column_sums(columns, M, np.arange(M ** k), 0, k) * cs
-        self.width = len(cx)
-        # augmented inner block: -2c x above c^2 |x|^2 and ones, so that
-        # the row [r, 1, |r|^2] times it gives |r|^2 - 2c r.x + c^2 |x|^2
-        self.aug = _aligned_empty((n + 2, self.width))
-        np.multiply(cx.T, -2.0, out=self.aug[:n])
-        self.aug[n] = np.einsum("ij,ij->i", cx, cx)
-        self.aug[n + 1] = 1.0
+        self.width = M ** k
         h = max(k, L - 1)
+        columns = matrix.entries.T
         # one row per rank, so each residual row is contiguous
         self.fast = _column_sums(columns, M, np.arange(M ** (h - k)), k, h) * cs
         self.slow = source * self.scale \
             - _column_sums(columns, M, np.arange(M ** (L - h)), h, L) * cs
         self.rows = len(self.fast) * len(self.slow)
-        # kernel rows per tile, and residual rows per chunk built at once,
-        # within _TILE_BYTES of float64
-        self.step = max(1, min(_TILE_BYTES // (4 * self.width),
-                               _TILE_MACS // ((n + 2) * self.width)))
+        # kernel values per tile, within _TILE_BYTES of float32 and
+        # _TILE_MACS multiply-adds (step rows of the whole inner block), and
+        # residual rows per chunk built at once, within _TILE_BYTES of float64
+        self.cap = min(_TILE_BYTES // 4, _TILE_MACS // (n + 2))
+        self.step = max(1, self.cap // self.width)
         self.chunk = max(1, _TILE_BYTES // (8 * n))
+        x = _column_sums(columns, M, np.arange(self.width), 0, k)
+        x *= cs
+        self.perm = np.arange(self.width)
+        self.px = None
+        if self.rows >= _PRUNE_TILES * self.step:
+            u = _unit(source)
+            px = x @ u
+            self.perm = np.argsort(px)
+            self.px = px[self.perm]
+            x = np.take(x, self.perm, axis=0)
+            self.pr = ((self.slow @ u)[:, None] - self.fast @ u).reshape(-1)
+        # augmented inner block: -2c x above c^2 |x|^2 and ones, so that
+        # the row [r, 1, |r|^2] times it gives |r|^2 - 2c r.x + c^2 |x|^2
+        self.aug = _aligned_empty((n + 2, self.width))
+        np.multiply(x.T, -2.0, out=self.aug[:n])
+        self.aug[n] = np.einsum("ij,ij->i", x, x)
+        self.aug[n + 1] = 1.0
 
 
 def _augmented(resid: np.ndarray) -> np.ndarray:
@@ -292,26 +343,86 @@ def _augmented(resid: np.ndarray) -> np.ndarray:
     return lhs
 
 
-def _tiles(plan: _Plan):
-    """Every row tile of float32 kernel values |r|^2 - 2c r.x + c^2 |x|^2,
-    as (first outer rank, tile), in increasing rank order; the tiles' rows
-    partition [0, plan.rows). Each tile is a view of one buffer that the
-    next tile overwrites.
+def _residuals(plan: _Plan, outer: np.ndarray) -> np.ndarray:
+    """The residual rows of the given outer ranks, (len(outer), n)."""
+    j, i = np.divmod(outer, len(plan.fast))
+    return np.take(plan.slow, j, axis=0) - np.take(plan.fast, i, axis=0)
 
-    Residual rows are built a chunk of consecutive outer ranks at a time:
-    part of one block of the last section, or whole blocks."""
-    fast_rows, slow_rows = len(plan.fast), len(plan.slow)
-    part = min(fast_rows, plan.chunk)
-    blocks = max(1, plan.chunk // fast_rows)
-    out = _aligned_empty((min(plan.step, plan.rows), plan.width))
-    for j in range(0, slow_rows, blocks):
-        for i in range(0, fast_rows, part):
-            resid = plan.slow[j:j + blocks, None] - plan.fast[None, i:i + part]
-            lhs = _augmented(resid.reshape(-1, plan.fast.shape[1]))
+
+def _tiles(plan: _Plan, radius=lambda: math.inf):
+    """Every multiplied tile of float32 kernel values
+    |r|^2 - 2c r.x + c^2 |x|^2, as (outer, lo, tile): tile[a, b] belongs to
+    outer rank outer[a] and inner rank plan.perm[lo + b]. Each tile is a
+    view of one buffer that the next tile overwrites.
+
+    Residual rows are built a chunk of outer ranks at a time. Without
+    projections (plan.px is None), the chunks are consecutive outer ranks,
+    every row is multiplied by the whole inner block, step rows per tile,
+    and the tiles come in rank order and partition all candidates.
+
+    With projections, the step rows of smallest projection pr come first,
+    whole. From then on radius() gives the current rho before each tile:
+    - the other rows whose pr lies within rho of some px are visited in
+      increasing pr; the rest are never built;
+    - a tile of rows with pr in [a, b] multiplies only the columns with px
+      in [a - rho, b + rho), at most a cap's worth of candidates;
+    - the scan ends once a - rho exceeds the largest px.
+    So no candidate is multiplied twice, and every candidate left out had
+    |pr - px| >= rho, up to the rounding of a - rho and b + rho, for the
+    rho of the moment it was left out."""
+    width = plan.width
+    buf = _aligned_empty((1, min(plan.rows * width, max(plan.cap, width))))[0]
+    if plan.px is None:
+        for c in range(0, plan.rows, plan.chunk):
+            outer = np.arange(c, min(c + plan.chunk, plan.rows))
+            lhs = _augmented(_residuals(plan, outer))
             for start in range(0, len(lhs), plan.step):
-                tile = out[:min(plan.step, len(lhs) - start)]
-                np.matmul(lhs[start:start + plan.step], plan.aug, out=tile)
-                yield j * fast_rows + i + start, tile
+                rows = lhs[start:start + plan.step]
+                tile = buf[:len(rows) * width].reshape(len(rows), width)
+                np.matmul(rows, plan.aug, out=tile)
+                yield outer[start:start + plan.step], 0, tile
+        return
+    px, pr = plan.px, plan.pr
+    head = np.argpartition(pr, plan.step - 1)[:plan.step]
+    tile = buf[:len(head) * width].reshape(len(head), width)
+    yield head, 0, np.matmul(_augmented(_residuals(plan, head)), plan.aug, out=tile)
+    rho = radius()
+    visit = (pr >= px[0] - rho) & (pr <= px[-1] + rho)
+    visit[head] = False
+    order = np.flatnonzero(visit)
+    order = order[np.argsort(pr[order])]
+    for c in range(0, len(order), plan.chunk):
+        outer = order[c:c + plan.chunk]
+        prs = pr[outer]
+        lhs = _augmented(_residuals(plan, outer))
+        start = 0
+        while start < len(lhs):
+            rho = radius()
+            lo, hi = np.searchsorted(px, (prs[start] - rho, prs[start] + rho))
+            if lo == width:
+                return
+            rows = min(len(lhs) - start, max(1, plan.cap // max(1, hi - lo)))
+            hi = np.searchsorted(px, prs[start + rows - 1] + rho)
+            if rows * (hi - lo) > plan.cap:
+                rows = max(1, plan.cap // (hi - lo))
+                hi = np.searchsorted(px, prs[start + rows - 1] + rho)
+            if hi > lo:
+                tile = buf[:rows * (hi - lo)].reshape(rows, hi - lo)
+                np.matmul(lhs[start:start + rows], plan.aug[:, lo:hi], out=tile)
+                yield outer[start:start + rows], int(lo), tile
+            start += rows
+
+
+def _rescored(params: SparcParams, columns: np.ndarray, source: np.ndarray,
+              pending: list, best: Tuple[float, int]) -> Tuple[float, int]:
+    """The smallest (exact score, rank) among best and the ranks of the
+    pending (ranks, kernel values) pairs, with one _exact_sq call."""
+    if not pending:
+        return best
+    ranks = np.concatenate([r for r, _ in pending])
+    scores = _exact_sq(params, columns, source, ranks)
+    at = np.lexsort((ranks, scores))[0]
+    return min(best, (float(scores[at]), int(ranks[at])))
 
 
 def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
@@ -319,36 +430,79 @@ def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
     and its exact squared distance _exact_sq (unnormalized).
 
     One pass over the kernel tiles keeps limit = low + 2 tol, where low is
-    the running kernel minimum. A tile whose minimum exceeds limit is
-    skipped; otherwise low takes in the tile's minimum, each of its
-    candidates with a kernel value <= limit is rescored with _exact_sq,
-    one call per tile, and a result replaces the best only when its exact
-    score is strictly smaller. This is the exact argmin:
-    - every exact minimum lies within 2 tol of the final kernel minimum
-      K, since kernel values are within tol of the scaled exact scores;
-      low never falls below K, so limit never falls below K + 2 tol, and
-      every candidate of that final window was rescored when its tile was
-      scanned;
-    - tiles come in rank order, each one's values in row-major order,
-      which is rank order, and only a strictly smaller exact score wins, so
-      ties go to the smallest rank.
-    Memory stays bounded by one tile's candidates."""
+    the running kernel minimum over the candidates multiplied so far. A
+    tile whose minimum exceeds limit is passed over; otherwise low takes
+    in the tile's minimum, and the tile's candidates with a kernel value
+    <= limit join the pending window as (rank, kernel value) pairs. When
+    limit falls, the pending pairs above it are dropped. The pending ranks
+    are rescored with _exact_sq once, at the end of the scan, or earlier,
+    keeping only the best, whenever more than plan.cap are pending; the
+    result is the smallest (exact score, rank).
+
+    A plan with projections, onto the computed unit vector u along the
+    source, also gives _tiles the radius
+        rho = sqrt(limit) (1 + 2 (n + 8) eps) + 2 (3n + 8) eps
+    in scaled units, with eps = 2^-24 the roundoff bound of _kernel_tol,
+    and _tiles leaves out every candidate whose projected error |pr - px|
+    reaches rho. Each candidate q left out has a scaled exact score E(q)
+    strictly above that of a multiplied candidate:
+    - Let v = slow[j] - fast[i] - c x, in exact arithmetic on the plan's
+      float64 values. As in _kernel_tol, the plan's path to v and the
+      scorer's codeword round L + 2 and L + 1 times and the scorer's dot
+      product n times, so |E(q) - |v|^2| <= (4L + 6 + n) eps Lam'^2 < tol.
+    - px = u.(c x), u.slow[j] and u.fast[i] are length-n dot products of
+      u, |u| <= 1 + (n + 3) eps, with vectors of norm at most Lam' < 1, so
+      each errs by at most n eps to first order, and pr = u.slow[j] -
+      u.fast[i] rounds once more, by at most 2 eps. Rounding a - rho and
+      b + rho moves the slice ends by at most (2 + rho) eps, as
+      |pr| <= 2 |u| Lam'. So |u.v| >= rho (1 - eps) - (3n + 4) eps, and
+      |v| >= |u.v| / |u|. The margins in rho are at least twice these
+      terms, which leaves room for the higher-order terms and for the
+      rounding of limit, of its square root and of rho itself:
+      |v|^2 > low + 2 tol.
+    - Hence E(q) > |v|^2 - tol > low + tol >= E(q*), where q* is the
+      multiplied candidate whose kernel value is low at the moment q was
+      left out (low only falls).
+    So every exact minimum is multiplied. Its kernel value is at most its
+    exact score plus tol, so at most the final kernel minimum plus 2 tol;
+    limit never falls below that, so the exact minimum joined the window
+    when its tile was scanned and was never dropped. Comparing
+    (score, rank) then gives the smallest rank among the exact minima,
+    whatever order the tiles came in. Memory stays bounded by one tile,
+    at most two tiles' worth of pending candidates and O(rows) index
+    arrays."""
     plan = _Plan(matrix, source)
-    best_rank, best, limit = -1, math.inf, math.inf
-    for lo, tile in _tiles(plan):
+    p = matrix.params
+    columns = matrix.entries.T
+    eps = 2.0 ** -24
+    best, pending, held = (math.inf, -1), [], 0
+    limit = rho = math.inf
+    for outer, lo, tile in _tiles(plan, lambda: rho):
         tile_min = float(tile.min())
         if tile_min > limit:
             continue
-        # rounding is monotonic, so this is low + 2 tol for the new low
-        limit = min(limit, tile_min + 2.0 * plan.tol)
+        if tile_min + 2.0 * plan.tol < limit:
+            # rounding is monotonic, so this is low + 2 tol for the new low
+            limit = tile_min + 2.0 * plan.tol
+            rho = math.sqrt(limit) * (1.0 + 2 * (p.n + 8) * eps) \
+                + 2 * (3 * p.n + 8) * eps
+            pending = [(r[v <= limit], v[v <= limit]) for r, v in pending]
+            held = sum(len(r) for r, _ in pending)
         # a float32 value is <= limit exactly when it is <= limit rounded to
         # float32, so comparing in float32 keeps the whole window
-        ranks = lo * plan.width + np.flatnonzero(tile <= limit)
-        scores = _exact_sq(matrix.params, matrix.entries.T, source, ranks)
-        at = int(np.argmin(scores))
-        if scores[at] < best:
-            best_rank, best = int(ranks[at]), float(scores[at])
-    return best_rank, best
+        at = np.flatnonzero(tile <= limit)
+        if plan.px is None:
+            # whole-width tiles of consecutive outer ranks
+            ranks = int(outer[0]) * plan.width + at
+        else:
+            rows, cols = np.divmod(at, tile.shape[1])
+            ranks = outer[rows] * plan.width + plan.perm[lo:][cols]
+        pending.append((ranks, tile.reshape(-1)[at]))
+        held += len(at)
+        if held > plan.cap:
+            best, pending, held = _rescored(p, columns, source, pending, best), [], 0
+    score, rank = _rescored(p, columns, source, pending, best)
+    return rank, score
 
 
 def encode_min_distance(matrix: DesignMatrix, source) -> EncodeResult:

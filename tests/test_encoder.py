@@ -1,6 +1,6 @@
 """Exhaustive nearest-codeword search: gating, optimality against a fresh
 brute-force oracle, tie-break determinism, codebook monotonicity, the
-float32 tiled kernel and the batched exact scorer."""
+float32 tiled kernel, the projection bound and the batched exact scorer."""
 
 import time
 from dataclasses import replace
@@ -19,6 +19,7 @@ from sparcomp.encoder import (
     STATUS_OK, STATUS_TRIVIAL_ZERO, STATUS_VARIANCE_OVERFLOW, all_distortions,
     encode_min_distance, encode_oracle, sample_power,
 )
+from sparcomp.sim import SOURCE_KINDS, SourceModel, draw_source
 
 
 @pytest.fixture(scope="module")
@@ -366,7 +367,7 @@ def test_identical_columns_window_spans_tiles(monkeypatch):
     mt = DesignMatrix(p, np.tile(col[:, None], (1, p.n_columns)))
     source = col * np.sqrt((p.D + p.rho2) / 2 / sample_power(col))
     plan = encoder._Plan(mt, source)
-    mins = np.array([tile.min() for _, tile in encoder._tiles(plan)])
+    mins = np.array([tile.min() for _, _, tile in encoder._tiles(plan)])
     assert len(mins) == 6
     assert (mins <= float(mins.min()) + 2.0 * plan.tol).all()
     res = encode_min_distance(mt, source)
@@ -376,23 +377,30 @@ def test_identical_columns_window_spans_tiles(monkeypatch):
 
 def test_all_ties_build_each_residual_row_once(monkeypatch):
     # every tile lies in the window, and the window is rescored during the
-    # scan, so no residual row is built a second time
+    # scan, so no residual row is built a second time: neither in rank
+    # order, nor in projection order once _PRUNE_TILES at 2 lets the plan of
+    # six 3-row tiles project
     monkeypatch.setattr(encoder, "_TILE_BYTES", 4 * 256 * 3)
     p = make_params(8, 3, 16, 1.0, 0.5, seed=0)
     col = np.linspace(-1.0, 1.0, p.n)
     mt = DesignMatrix(p, np.tile(col[:, None], (1, p.n_columns)))
     source = col * np.sqrt((p.D + p.rho2) / 2 / sample_power(col))
-    built = []
     augmented = encoder._augmented
+    for prune_tiles, projects in [(8, False), (2, True)]:
+        monkeypatch.setattr(encoder, "_PRUNE_TILES", prune_tiles)
+        plan = encoder._Plan(mt, source)
+        assert (plan.px is not None) == projects and plan.step == 3
+        built = []
 
-    def counted(resid):
-        built.append(len(resid))
-        return augmented(resid)
+        def counted(resid):
+            built.append(len(resid))
+            return augmented(resid)
 
-    monkeypatch.setattr(encoder, "_augmented", counted)
-    res = encode_min_distance(mt, source)
-    assert res.beta == BetaVector((0, 0, 0))
-    assert sum(built) == encoder._Plan(mt, source).rows
+        monkeypatch.setattr(encoder, "_augmented", counted)
+        res = encode_min_distance(mt, source)
+        monkeypatch.setattr(encoder, "_augmented", augmented)
+        assert res.beta == BetaVector((0, 0, 0))
+        assert sum(built) == plan.rows
 
 
 def _unscaled_tol(matrix, source):
@@ -474,12 +482,33 @@ def test_extreme_scales_match_oracle(scale):
         assert fast.distortion == plain.distortion * scale ** 2
 
 
+def _tile_hits(plan, tiles):
+    """How often each candidate, by rank, is multiplied by the given tiles
+    of the plan, each tile checked to be its own augmented residual rows
+    times its slice of the augmented inner block."""
+    hits = np.zeros(plan.rows * plan.width, dtype=int)
+    for outer, lo, tile in tiles:
+        cols = slice(lo, lo + tile.shape[1])
+        lhs = encoder._augmented(encoder._residuals(plan, outer))
+        assert np.array_equal(tile, lhs @ plan.aug[:, cols])
+        np.add.at(hits, (outer[:, None] * plan.width + plan.perm[cols]).ravel(), 1)
+    return hits
+
+
+def _kernel_values(plan):
+    """Every kernel value of the plan, (outer rank, inner rank)."""
+    kernel = np.full((plan.rows, plan.width), np.nan, dtype=np.float32)
+    for outer, lo, tile in encoder._tiles(plan):
+        kernel[outer[:, None], plan.perm[lo:lo + tile.shape[1]]] = tile
+    return kernel
+
+
 @pytest.mark.parametrize("n, L, M, inner_cols, tile_rows", [
     (4, 1, 64, 4096, 1),     # L = 1, so k == L: one zero outer row
     (6, 2, 16, 4096, 3),     # k == L - 1: chunks of 4 one-row blocks, tiles 3 + 1
     (6, 3, 16, 256, 3),      # k == L - 1: one 16-row chunk, six tiles
-    (6, 4, 4, 4, 9),         # 3 outer sections: 3-row chunks inside 16-row blocks
-    (3, 4, 16, 16, 2),       # 3 outer sections: 5-row chunks, tiles 2 + 2 + 1
+    (6, 4, 4, 4, 9),         # 3 outer sections: 3-row chunks across 16-row blocks
+    (3, 4, 16, 16, 2),       # 3 outer sections, 256 rows: projected, 5-row chunks
     (3, 4, 4, 4, 48),        # 3 outer sections: chunks of two 16-row blocks
 ])
 @pytest.mark.parametrize("bound", ["bytes", "macs"])
@@ -504,16 +533,19 @@ def test_streamed_tiles_match_oracle(monkeypatch, n, L, M, inner_cols,
         plan = encoder._Plan(mt, source)
         assert (plan.width, plan.step) == (width, tile_rows)
         assert (len(plan.fast), plan.chunk) == (fast_rows, chunk)
-        # the tiles partition the outer ranks in order, each tile at most
-        # plan.step rows of the kernel values of its own residual rows
+        # without a radius every candidate is multiplied once, each tile
+        # the kernel values of its own residual rows and columns; a plan
+        # without projections tiles the outer ranks in order, at most
+        # plan.step rows of the whole inner block per tile
         at = 0
-        for lo, tile in encoder._tiles(plan):
-            assert lo == at and 0 < len(tile) <= plan.step
-            at += len(tile)
-            outer = np.arange(lo, at)
-            resid = plan.slow[outer // fast_rows] - plan.fast[outer % fast_rows]
-            assert np.array_equal(tile, encoder._augmented(resid) @ plan.aug)
-        assert at == plan.rows
+        hits = _tile_hits(plan, encoder._tiles(plan))
+        for outer, lo, tile in encoder._tiles(plan):
+            if plan.px is None:
+                assert lo == 0 and tile.shape[1] == plan.width
+                assert 0 < len(tile) <= plan.step
+                assert np.array_equal(outer, np.arange(at, at + len(tile)))
+                at += len(tile)
+        assert (hits == 1).all()
         assert encode_min_distance(mt, source) == encode_oracle(mt, source)
 
 
@@ -526,7 +558,7 @@ def test_kernel_error_within_tolerance(n, L, M):
         mt = build_design_matrix(p)
         source = rng.normal(size=n)
         plan = encoder._Plan(mt, source)
-        kernel = np.concatenate([tile.copy() for _, tile in encoder._tiles(plan)])
+        kernel = _kernel_values(plan)
         exact = encoder._exact_sq(mt.params, mt.entries.T, source,
                                   np.arange(p.n_codewords))
         exact = exact.reshape(plan.rows, plan.width) * plan.scale ** 2
@@ -542,3 +574,171 @@ def test_kernel_buffers_start_on_a_cache_line():
     p = make_params(6, 3, 16, 1.0, 0.5, seed=1)
     plan = encoder._Plan(build_design_matrix(p), np.zeros(p.n))
     assert plan.aug.ctypes.data % encoder._ALIGN == 0
+
+
+# ---------------------------------------------------------------------------
+# projection bound
+# ---------------------------------------------------------------------------
+
+# (n, L, M, _INNER_COLS, _TILE_BYTES) of small searches whose plans project:
+# 64 outer rows of 2-row tiles in 8-row blocks; 32 one-row blocks of 2-row
+# tiles; 64 rows over two fast sections, 3-row tiles
+PROJECTED = [(10, 4, 8, 64, 4 * 64 * 2), (12, 3, 32, 4096, 4 * 1024 * 2),
+             (6, 5, 4, 16, 4 * 16 * 3)]
+
+
+def _search_tiles(monkeypatch, mt, source):
+    """encode_min_distance, the search's plan and a copy of every tile it
+    multiplied, recorded as the search's own radius shaped them."""
+    tiles, seen = encoder._tiles, {"tiles": []}
+
+    def recording(plan, radius=lambda: np.inf):
+        seen["plan"] = plan
+        for outer, lo, tile in tiles(plan, radius):
+            seen["tiles"].append((outer.copy(), lo, tile.copy()))
+            yield outer, lo, tile
+
+    with monkeypatch.context() as mp:
+        mp.setattr(encoder, "_tiles", recording)
+        res = encode_min_distance(mt, source)
+    return res, seen["plan"], seen["tiles"]
+
+
+def _in_gate(p, source):
+    """source, scaled into the gates' open interval when it lies outside."""
+    if p.D <= sample_power(source) < p.rho2:
+        return source
+    return source * np.sqrt((p.D + p.rho2) / 2 / sample_power(source))
+
+
+@pytest.mark.parametrize("n, L, M, inner_cols, tile_bytes", PROJECTED)
+def test_pruned_search_skips_only_worse_candidates(monkeypatch, n, L, M,
+                                                   inner_cols, tile_bytes):
+    # the multiplied tiles cover no candidate twice, and every candidate
+    # they leave out has an exact score strictly above the oracle's minimum
+    monkeypatch.setattr(encoder, "_INNER_COLS", inner_cols)
+    monkeypatch.setattr(encoder, "_TILE_BYTES", tile_bytes)
+    rng = _rng(n * L * M)
+    skipped = 0
+    for trial in range(8):
+        p = make_params(n, L, M, 1.0, 0.5, seed=900 + trial)
+        mt = build_design_matrix(p)
+        source = _scaled_source(rng, p)
+        res, plan, tiles = _search_tiles(monkeypatch, mt, source)
+        assert plan.px is not None
+        hits = _tile_hits(plan, tiles)
+        assert hits.max() == 1
+        scores = encoder._exact_sq(p, mt.entries.T, source,
+                                   np.arange(p.n_codewords))
+        assert (scores[hits == 0] > scores.min()).all()
+        assert res == encode_oracle(mt, source)
+        skipped += int((hits == 0).sum())
+    assert skipped > 0
+
+
+def test_projection_bound_prunes_most_candidates(monkeypatch):
+    # a fixed seeded draw at the criterion 8 shape 14-6-16: fewer than 10% of
+    # its 16,777,216 candidates are multiplied, and the same search in rank
+    # order over every candidate (_PRUNE_TILES past the plan's 273 tiles)
+    # finds the same codeword and distortion
+    p = make_params(14, 6, 16, 1.0, 0.3, seed=8)
+    mt = build_design_matrix(p)
+    source = _in_gate(p, draw_source(SourceModel("gaussian_iid", 1.0), p.n, 8))
+    res, plan, tiles = _search_tiles(monkeypatch, mt, source)
+    assert res.status == STATUS_OK and plan.px is not None
+    assert sum(tile.size for _, _, tile in tiles) < 0.1 * p.n_codewords
+    monkeypatch.setattr(encoder, "_PRUNE_TILES", plan.rows)
+    full, plan, tiles = _search_tiles(monkeypatch, mt, source)
+    assert plan.px is None
+    assert sum(tile.size for _, _, tile in tiles) == p.n_codewords
+    assert full == res
+
+
+@pytest.mark.parametrize("n, L, M, D, rho2", [(14, 6, 16, 0.3, None),
+                                              (16, 3, 256, 0.278193, 2.0)])
+def test_one_exact_rescore_per_search(monkeypatch, n, L, M, D, rho2):
+    # the window is rescored once, at the end of the scan, on seeded draws
+    # at the two shapes whose plans project
+    calls = []
+    exact = encoder._exact_sq
+
+    def counted(params, columns, source, ranks):
+        calls.append(len(ranks))
+        return exact(params, columns, source, ranks)
+
+    monkeypatch.setattr(encoder, "_exact_sq", counted)
+    for trial in range(3):
+        p = make_params(n, L, M, 1.0, D, rho2=rho2, seed=40 + trial)
+        source = _in_gate(p, draw_source(SourceModel("gaussian_iid", 1.0),
+                                         n, 40 + trial))
+        calls.clear()
+        assert encode_min_distance(build_design_matrix(p), source).status == STATUS_OK
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, L, M, inner_cols, tile_bytes", PROJECTED)
+def test_pruned_search_degenerate_inputs_match_oracle(monkeypatch, n, L, M,
+                                                      inner_cols, tile_bytes):
+    # identical columns put every px at one value, all-zero columns make
+    # every codeword zero, a source along one column projects onto itself,
+    # a zero source (with D = 0) has no direction; and one source of each
+    # robustness model. Ties en masse rescore the window early, whenever
+    # more than plan.cap candidates are pending, and no more often
+    monkeypatch.setattr(encoder, "_INNER_COLS", inner_cols)
+    monkeypatch.setattr(encoder, "_TILE_BYTES", tile_bytes)
+    p = make_params(n, L, M, 1.0, 0.5, seed=77)
+    col = np.linspace(-1.0, 1.0, n)
+    design = build_design_matrix(p).entries
+    cases = [(np.tile(col[:, None], (1, p.n_columns)), col),
+             (np.zeros((n, p.n_columns)), _rng(1).normal(size=n)),
+             (design, design[:, p.M + 1] * 1.5),
+             (design, np.zeros(n))]
+    cases += [(design, draw_source(SourceModel(kind, 1.0, 0.7 * (kind == "gauss_markov")),
+                                   n, 5))
+              for kind in SOURCE_KINDS]
+    calls = []
+    exact = encoder._exact_sq
+
+    def counted(params, columns, source, ranks):
+        calls.append(len(ranks))
+        return exact(params, columns, source, ranks)
+
+    for entries, source in cases:
+        if source.any():
+            mt = DesignMatrix(p, entries)
+            source = _in_gate(p, source)
+        else:
+            mt = DesignMatrix(replace(p, D=0.0), entries)
+        plan = encoder._Plan(mt, source)
+        assert plan.px is not None
+        calls.clear()
+        monkeypatch.setattr(encoder, "_exact_sq", counted)
+        res = encode_min_distance(mt, source)
+        monkeypatch.setattr(encoder, "_exact_sq", exact)
+        assert res.status == STATUS_OK
+        assert res == encode_oracle(mt, source)
+        assert 1 <= len(calls) <= p.n_codewords // plan.cap + 1
+        assert max(calls) <= plan.cap + max(plan.cap, plan.width)
+
+
+def test_plans_project_when_their_rows_fill_enough_tiles(monkeypatch):
+    # one rule, from the plan's shape: the plan projects when its outer rows
+    # fill at least _PRUNE_TILES full-width tiles. At the default constants
+    # 8-3-16 (16 rows, 256 per tile) and 12-3-64 (64 rows, 16 per tile) do
+    # not, 14-6-16 (4096 rows, 15 per tile) and 16-3-256 (65,536 rows, 217
+    # per tile) do; 12-3-64 projects from _PRUNE_TILES = 4 down
+    for (n, L, M), rows, step, projects in [((8, 3, 16), 16, 256, False),
+                                            ((12, 3, 64), 64, 16, False),
+                                            ((14, 6, 16), 4096, 15, True),
+                                            ((16, 3, 256), 65536, 217, True)]:
+        p = make_params(n, L, M, 1.0, 0.3, rho2=2.0, seed=n)
+        plan = encoder._Plan(build_design_matrix(p), _scaled_source(_rng(n), p))
+        assert (plan.rows, plan.step) == (rows, step)
+        assert (plan.px is not None) == projects
+    p = make_params(12, 3, 64, 1.0, 0.3, rho2=2.0, seed=3)
+    mt = build_design_matrix(p)
+    source = _scaled_source(_rng(3), p)
+    for prune_tiles, projects in [(4, True), (5, False)]:
+        monkeypatch.setattr(encoder, "_PRUNE_TILES", prune_tiles)
+        assert (encoder._Plan(mt, source).px is not None) == projects
+        assert encode_min_distance(mt, source) == encode_oracle(mt, source)
