@@ -7,9 +7,11 @@ The encoder first applies the two gates: a source with per-sample power
 the global argmin of ||s - A beta|| is returned, ties broken by smallest
 mixed-radix rank.
 
-Every sum of selected columns comes from one gather, _column_sums: for
-each rank over a range of sections, the column that each of its base-M
-digits picks, added in increasing section order as synthesize adds them.
+Every sum of selected columns is the column that each base-M digit of
+a rank picks, added in increasing section order as synthesize adds them.
+One gather, _column_sums, forms it for any ranks; the search's inner
+block, which holds every rank of its sections, is the same sums built by
+broadcasting (_block_sums), bit for bit.
 
 Every codeword is scored by one exact scorer, _exact_sq: the squared norm
 of source - synthesize(beta), with the codeword built by that gather, for
@@ -19,7 +21,7 @@ works through the ranks _SCORE_CHUNK at a time, so each caller makes one
 call per batch of ranks. The search finds its argmin in one pass over
 the kernel tiles and one rescore:
 
-1. A float32 tiled kernel. The first k sections are gathered into an
+1. A float32 tiled kernel. The first k sections are summed into an
    inner block of M^k column sums x; the remaining sections form the
    outer ranks, whose residual rows r = s - c * outer are built a chunk
    at a time inside the tile loop, from the outer section sums kept as
@@ -33,7 +35,8 @@ the kernel tiles and one rescore:
    1 / Lam, where Lam bounds every codeword error norm; the scaling is
    exact, and float32 then neither overflows nor loses the bound to
    underflow. Tiles are sized to stay in L2 and in the BLAS small-matrix
-   path, and the inner block and the tile start on a cache line.
+   path, the inner block and the tile start on a cache line, and each row
+   of the inner block is padded by one line (_padded).
    When the outer rows fill at least _PRUNE_TILES full-width tiles, the
    search also skips candidates by their projection on u = s / |s|: the
    error of a candidate is at least |u.r - u.(c x)|. The inner block's
@@ -99,6 +102,18 @@ _TILE_BYTES = 1 << 18
 # this was tuned on that was 2x faster per candidate for a 229 x 17 x 256
 # tile than the packed, threaded path took for 256 x 17 x 256.
 _TILE_MACS = 10 ** 6
+# Bytes of float64 residual rows built at once. Each search allocates and
+# frees its memory anew. Once more than glibc's trim threshold lies free at
+# the top of the heap (twice the largest block it has mapped and freed so
+# far, so it differs between processes), glibc returns it to the system and
+# the next search faults it back in, 4 KiB at a time: 20-30% more time per
+# 14-6-16 search, in about half of the processes. With this chunk, the
+# two-array residual build and the inner block built by broadcasting
+# (_block_sums), the heap of a 14-6-16 search stays under 0.9 MiB and no
+# longer crosses the threshold. Smaller chunks cost 16-3-256 time: its
+# column slices are about 14 wide, so its tiles are as tall as a chunk
+# (64 KiB chunks made that search about 20% slower).
+_CHUNK_BYTES = 3 << 16
 # Codewords per batch of the exact scorer: bounds its memory to
 # _SCORE_CHUNK * n float64 per design however many ranks it scores.
 _SCORE_CHUNK = 1 << 12
@@ -170,6 +185,36 @@ def _column_sums(columns: np.ndarray, M: int, ranks: np.ndarray,
     for l in range(lo + 1, hi):
         rest, digit = np.divmod(rest, M)
         total += np.take(columns, l * M + digit, axis=-2)
+    return total
+
+
+def _padded(cols: int) -> int:
+    """Row length, in float32, of a block that holds cols columns: whole
+    cache lines plus one. Rows of 4096 float32 (16 KiB) would all start at
+    the same offset within a 4 KiB page, so the 16 rows of a tile's inner
+    block would fall in the same L1 sets, more than its ways hold; the
+    tile product then also ran up to a third slower or faster with the
+    page offsets of the residual rows and the tile buffer, which differ
+    from process to process. One extra line starts each row one set
+    further."""
+    line = _ALIGN // 4
+    return -(-cols // line) * line + line
+
+
+def _block_sums(entries: np.ndarray, M: int, k: int) -> np.ndarray:
+    """The inner block transposed, (n, M^k): column q is the sum of the
+    columns that rank q selects in sections 0..k-1, for entries (n, M*L).
+    It equals _column_sums over np.arange(M^k), transposed, bit for bit:
+    the same columns are added in the same section order. Broadcasting
+    one section at a time instead of gathering leaves the result as the
+    only block-sized array, written once and contiguous."""
+    n = entries.shape[0]
+    if k == 1:
+        return entries[:, :M].copy()
+    total = entries[:, :M]
+    for l in range(1, k):
+        total = np.add(total[:, None, :],
+                       entries[:, l * M:(l + 1) * M, None]).reshape(n, -1)
     return total
 
 
@@ -309,27 +354,38 @@ class _Plan:
         self.rows = len(self.fast) * len(self.slow)
         # kernel values per tile, within _TILE_BYTES of float32 and
         # _TILE_MACS multiply-adds (step rows of the whole inner block), and
-        # residual rows per chunk built at once, within _TILE_BYTES of float64
+        # residual rows per chunk built at once, within _CHUNK_BYTES of float64
         self.cap = min(_TILE_BYTES // 4, _TILE_MACS // (n + 2))
         self.step = max(1, self.cap // self.width)
-        self.chunk = max(1, _TILE_BYTES // (8 * n))
-        x = _column_sums(columns, M, np.arange(self.width), 0, k)
-        x *= cs
+        self.chunk = max(1, _CHUNK_BYTES // (8 * n))
+        xt = _block_sums(matrix.entries, M, k)
+        xt *= cs
+        # augmented inner block: -2c x above c^2 |x|^2 and ones, so that
+        # the row [r, 1, |r|^2] times it gives |r|^2 - 2c r.x + c^2 |x|^2;
+        # a view of the first width columns of a padded block (_padded)
+        block = _aligned_empty((n + 2, _padded(self.width)))
+        self.aug = block[:, :self.width]
+        np.multiply(xt, -2.0, out=self.aug[:n])
+        self.aug[n] = np.einsum("ij,ij->j", xt, xt)
+        self.aug[n + 1] = 1.0
         self.perm = np.arange(self.width)
         self.px = None
         if self.rows >= _PRUNE_TILES * self.step:
             u = _unit(source)
-            px = x @ u
+            # einsum, not a BLAS product: no BLAS thread wakes per search
+            px = np.einsum("i,ij->j", u, xt)
+            del xt
             self.perm = np.argsort(px)
             self.px = px[self.perm]
-            x = np.take(x, self.perm, axis=0)
+            # one take permutes the columns into a second padded block, whose
+            # padding columns copy column 0 and are never read; mode "clip"
+            # (a no-op for these indices) writes straight into it, where the
+            # default mode would buffer a block-sized copy
+            cols = np.zeros(block.shape[1], dtype=np.intp)
+            cols[:self.width] = self.perm
+            self.aug = np.take(block, cols, axis=1, mode="clip",
+                               out=_aligned_empty(block.shape))[:, :self.width]
             self.pr = ((self.slow @ u)[:, None] - self.fast @ u).reshape(-1)
-        # augmented inner block: -2c x above c^2 |x|^2 and ones, so that
-        # the row [r, 1, |r|^2] times it gives |r|^2 - 2c r.x + c^2 |x|^2
-        self.aug = _aligned_empty((n + 2, self.width))
-        np.multiply(x.T, -2.0, out=self.aug[:n])
-        self.aug[n] = np.einsum("ij,ij->i", x, x)
-        self.aug[n + 1] = 1.0
 
 
 def _augmented(resid: np.ndarray) -> np.ndarray:
@@ -346,7 +402,9 @@ def _augmented(resid: np.ndarray) -> np.ndarray:
 def _residuals(plan: _Plan, outer: np.ndarray) -> np.ndarray:
     """The residual rows of the given outer ranks, (len(outer), n)."""
     j, i = np.divmod(outer, len(plan.fast))
-    return np.take(plan.slow, j, axis=0) - np.take(plan.fast, i, axis=0)
+    resid = np.take(plan.slow, j, axis=0)
+    resid -= np.take(plan.fast, i, axis=0)
+    return resid
 
 
 def _tiles(plan: _Plan, radius=lambda: math.inf):

@@ -32,6 +32,14 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
+def _tile_budget(mp, nbytes):
+    """Set the tile budget and the residual chunk budget together, so the
+    plan's chunk is nbytes of float64 rows, as the small-shape tests below
+    are laid out."""
+    mp.setattr(encoder, "_TILE_BYTES", nbytes)
+    mp.setattr(encoder, "_CHUNK_BYTES", nbytes)
+
+
 # ---------------------------------------------------------------------------
 # gates
 # ---------------------------------------------------------------------------
@@ -223,7 +231,7 @@ def test_tiled_search_matches_oracle_across_tiles(monkeypatch):
     # residual rows of the (8, 3, 4) search one at a time (plan.chunk is 1),
     # so it runs 16 one-row tiles
     monkeypatch.setattr(encoder, "_INNER_COLS", 4)
-    monkeypatch.setattr(encoder, "_TILE_BYTES", 2 * 4 * 8)
+    _tile_budget(monkeypatch, 2 * 4 * 8)
     rng = _rng(101)
     for trial in range(40):
         p = make_params(8, 3, 4, 1.0, 0.5, seed=300 + trial)
@@ -361,7 +369,7 @@ def test_identical_columns_window_spans_tiles(monkeypatch):
     # every codeword ties, so every one of the six 3-row tiles of this
     # 8-3-16 search lies in the window; rank 0 sits in the first tile and
     # must survive the comparisons with the later tiles
-    monkeypatch.setattr(encoder, "_TILE_BYTES", 4 * 256 * 3)
+    _tile_budget(monkeypatch, 4 * 256 * 3)
     p = make_params(8, 3, 16, 1.0, 0.5, seed=0)
     col = np.linspace(-1.0, 1.0, p.n)
     mt = DesignMatrix(p, np.tile(col[:, None], (1, p.n_columns)))
@@ -380,7 +388,7 @@ def test_all_ties_build_each_residual_row_once(monkeypatch):
     # scan, so no residual row is built a second time: neither in rank
     # order, nor in projection order once _PRUNE_TILES at 2 lets the plan of
     # six 3-row tiles project
-    monkeypatch.setattr(encoder, "_TILE_BYTES", 4 * 256 * 3)
+    _tile_budget(monkeypatch, 4 * 256 * 3)
     p = make_params(8, 3, 16, 1.0, 0.5, seed=0)
     col = np.linspace(-1.0, 1.0, p.n)
     mt = DesignMatrix(p, np.tile(col[:, None], (1, p.n_columns)))
@@ -434,7 +442,7 @@ def test_float32_near_ties_match_oracle(seed, r1, r2, k):
     # put the pair in different tiles unless r1 // 4 == r2 // 4
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(encoder, "_INNER_COLS", 4)
-        mp.setattr(encoder, "_TILE_BYTES", 2 * 4 * 8)
+        _tile_budget(mp, 2 * 4 * 8)
         assert encode_min_distance(mt, source) == slow
 
 
@@ -519,12 +527,12 @@ def test_streamed_tiles_match_oracle(monkeypatch, n, L, M, inner_cols,
     # the chunks of the bytes case, the macs case has chunks 8 times larger
     monkeypatch.setattr(encoder, "_INNER_COLS", inner_cols)
     width = M ** max(1, min(L - 1, int(np.log(inner_cols) / np.log(M))))
-    monkeypatch.setattr(encoder, "_TILE_BYTES", 4 * width * tile_rows)
+    _tile_budget(monkeypatch, 4 * width * tile_rows)
     if bound == "macs":
         monkeypatch.setattr(encoder, "_TILE_MACS", (n + 2) * width * tile_rows)
-        monkeypatch.setattr(encoder, "_TILE_BYTES", 4 * width * tile_rows * 8)
+        _tile_budget(monkeypatch, 4 * width * tile_rows * 8)
     fast_rows = M ** (L - 1) // width if L > 1 else 1
-    chunk = encoder._TILE_BYTES // (8 * n)
+    chunk = encoder._CHUNK_BYTES // (8 * n)
     rng = _rng(n * 100 + L)
     for trial in range(12):
         p = make_params(n, L, M, 1.0, 0.5, seed=700 + trial)
@@ -576,6 +584,20 @@ def test_kernel_buffers_start_on_a_cache_line():
     assert plan.aug.ctypes.data % encoder._ALIGN == 0
 
 
+@pytest.mark.parametrize("n, L, M", [(8, 3, 16), (12, 3, 64), (14, 6, 16),
+                                     (16, 3, 256)])
+def test_inner_block_rows_start_a_line_apart(n, L, M):
+    # each row of the augmented inner block starts on a cache line, one line
+    # past the end of the previous row, with and without projections
+    p = make_params(n, L, M, 1.0, 0.3, seed=2)
+    source = draw_source(SourceModel("gaussian_iid", 1.0), n, 2)
+    plan = encoder._Plan(build_design_matrix(p), source)
+    assert (plan.px is not None) == ((n, L, M) in [(14, 6, 16), (16, 3, 256)])
+    line = encoder._ALIGN
+    assert plan.aug.ctypes.data % line == 0
+    assert plan.aug.strides == (4 * plan.width + line, 4)
+
+
 # ---------------------------------------------------------------------------
 # projection bound
 # ---------------------------------------------------------------------------
@@ -617,7 +639,7 @@ def test_pruned_search_skips_only_worse_candidates(monkeypatch, n, L, M,
     # the multiplied tiles cover no candidate twice, and every candidate
     # they leave out has an exact score strictly above the oracle's minimum
     monkeypatch.setattr(encoder, "_INNER_COLS", inner_cols)
-    monkeypatch.setattr(encoder, "_TILE_BYTES", tile_bytes)
+    _tile_budget(monkeypatch, tile_bytes)
     rng = _rng(n * L * M)
     skipped = 0
     for trial in range(8):
@@ -685,7 +707,7 @@ def test_pruned_search_degenerate_inputs_match_oracle(monkeypatch, n, L, M,
     # robustness model. Ties en masse rescore the window early, whenever
     # more than plan.cap candidates are pending, and no more often
     monkeypatch.setattr(encoder, "_INNER_COLS", inner_cols)
-    monkeypatch.setattr(encoder, "_TILE_BYTES", tile_bytes)
+    _tile_budget(monkeypatch, tile_bytes)
     p = make_params(n, L, M, 1.0, 0.5, seed=77)
     col = np.linspace(-1.0, 1.0, n)
     design = build_design_matrix(p).entries
