@@ -36,7 +36,9 @@ the kernel tiles and one rescore:
    exact, and float32 then neither overflows nor loses the bound to
    underflow. Tiles are sized to stay in L2 and in the BLAS small-matrix
    path, the inner block and the tile start on a cache line, and each row
-   of the inner block is padded by one line (_padded).
+   of the inner block is padded by one line (_padded). These buffers and
+   the residual chunks are views of per-thread workspace buffers
+   (_aligned_empty), reused from one search to the next.
    When the outer rows fill at least _PRUNE_TILES full-width tiles, the
    search also skips candidates by their projection on u = s / |s|: the
    error of a candidate is at least |u.r - u.(c x)|. The inner block's
@@ -65,6 +67,7 @@ A plain oracle that scores every rank with the same scorer
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -102,15 +105,11 @@ _TILE_BYTES = 1 << 18
 # this was tuned on that was 2x faster per candidate for a 229 x 17 x 256
 # tile than the packed, threaded path took for 256 x 17 x 256.
 _TILE_MACS = 10 ** 6
-# Bytes of float64 residual rows built at once. Each search allocates and
-# frees its memory anew. Once more than glibc's trim threshold lies free at
-# the top of the heap (twice the largest block it has mapped and freed so
-# far, so it differs between processes), glibc returns it to the system and
-# the next search faults it back in, 4 KiB at a time: 20-30% more time per
-# 14-6-16 search, in about half of the processes. With this chunk, the
-# two-array residual build and the inner block built by broadcasting
-# (_block_sums), the heap of a 14-6-16 search stays under 0.9 MiB and no
-# longer crosses the threshold. Smaller chunks cost 16-3-256 time: its
+# Bytes of float64 residual rows built at once. The chunk's arrays are
+# workspace buffers (_aligned_empty), kept from one search to the next:
+# blocks this large, allocated and freed per search, were unmapped and
+# faulted back in by every search in a process whose glibc mmap threshold
+# was still at its initial 128 KiB. Smaller chunks cost 16-3-256 time: its
 # column slices are about 14 wide, so its tiles are as tall as a chunk
 # (64 KiB chunks made that search about 20% slower).
 _CHUNK_BYTES = 3 << 16
@@ -163,12 +162,28 @@ def _gate(matrix: DesignMatrix, source: np.ndarray) -> Optional[EncodeResult]:
     return None
 
 
-def _aligned_empty(shape: Tuple[int, int]) -> np.ndarray:
-    """Uninitialized C-order float32 array starting on an _ALIGN boundary."""
-    size = shape[0] * shape[1] * 4
-    buf = np.empty(size + _ALIGN, dtype=np.uint8)
+class _Workspace(threading.local):
+    """The calling thread's search buffers: one byte buffer per slot name."""
+
+    def __init__(self):
+        self.slots = {}
+
+
+_WORKSPACE = _Workspace()
+
+
+def _aligned_empty(slot: str, shape: Tuple[int, ...],
+                   dtype=np.float32) -> np.ndarray:
+    """Uninitialized C-order array starting on an _ALIGN boundary, a view
+    of the calling thread's buffer for slot. The buffer grows to the
+    largest size asked for so far and is kept, so the array is valid only
+    until the next request for the same slot in the same thread."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = _WORKSPACE.slots.get(slot)
+    if buf is None or len(buf) < size + _ALIGN:
+        buf = _WORKSPACE.slots[slot] = np.empty(size + _ALIGN, dtype=np.uint8)
     start = -buf.ctypes.data % _ALIGN
-    return buf[start:start + size].view(np.float32).reshape(shape)
+    return buf[start:start + size].view(dtype).reshape(shape)
 
 
 def _column_sums(columns: np.ndarray, M: int, ranks: np.ndarray,
@@ -207,14 +222,20 @@ def _block_sums(entries: np.ndarray, M: int, k: int) -> np.ndarray:
     It equals _column_sums over np.arange(M^k), transposed, bit for bit:
     the same columns are added in the same section order. Broadcasting
     one section at a time instead of gathering leaves the result as the
-    only block-sized array, written once and contiguous."""
+    only block-sized array, written once and contiguous into the slot
+    "inner" (_aligned_empty); the partial sums alternate with it."""
     n = entries.shape[0]
     if k == 1:
-        return entries[:, :M].copy()
+        total = _aligned_empty("inner", (n, M), np.float64)
+        np.copyto(total, entries[:, :M])
+        return total
     total = entries[:, :M]
     for l in range(1, k):
-        total = np.add(total[:, None, :],
-                       entries[:, l * M:(l + 1) * M, None]).reshape(n, -1)
+        out = _aligned_empty("inner" if (k - l) % 2 else "inner_part",
+                             (n, M ** (l + 1)), np.float64)
+        np.add(total[:, None, :], entries[:, l * M:(l + 1) * M, None],
+               out=out.reshape(n, M, -1))
+        total = out
     return total
 
 
@@ -334,7 +355,12 @@ class _Plan:
     holding the inner rank of each column, and pr holds the projection
     u.slow[j] - u.fast[i] of each outer rank's residual row, found without
     forming the row. A smaller plan keeps the columns in rank order (perm
-    is the identity) and px is None."""
+    is the identity) and px is None.
+
+    The inner and augmented blocks live in the thread's workspace
+    (_aligned_empty), as do the buffers of _tiles, and the next search
+    reuses them: a plan's arrays are valid until the next plan is built in
+    the same thread."""
 
     def __init__(self, matrix: DesignMatrix, source: np.ndarray):
         p = matrix.params
@@ -363,7 +389,7 @@ class _Plan:
         # augmented inner block: -2c x above c^2 |x|^2 and ones, so that
         # the row [r, 1, |r|^2] times it gives |r|^2 - 2c r.x + c^2 |x|^2;
         # a view of the first width columns of a padded block (_padded)
-        block = _aligned_empty((n + 2, _padded(self.width)))
+        block = _aligned_empty("aug", (n + 2, _padded(self.width)))
         self.aug = block[:, :self.width]
         np.multiply(xt, -2.0, out=self.aug[:n])
         self.aug[n] = np.einsum("ij,ij->j", xt, xt)
@@ -384,15 +410,16 @@ class _Plan:
             cols = np.zeros(block.shape[1], dtype=np.intp)
             cols[:self.width] = self.perm
             self.aug = np.take(block, cols, axis=1, mode="clip",
-                               out=_aligned_empty(block.shape))[:, :self.width]
+                               out=_aligned_empty("aug_sorted", block.shape)
+                               )[:, :self.width]
             self.pr = ((self.slow @ u)[:, None] - self.fast @ u).reshape(-1)
 
 
 def _augmented(resid: np.ndarray) -> np.ndarray:
     """The float32 rows [r, 1, |r|^2] of residual rows r, with |r|^2
-    computed in float64."""
+    computed in float64, in the workspace slot "lhs" (_aligned_empty)."""
     n = resid.shape[1]
-    lhs = np.empty((resid.shape[0], n + 2), dtype=np.float32)
+    lhs = _aligned_empty("lhs", (resid.shape[0], n + 2))
     lhs[:, :n] = resid
     lhs[:, n] = 1.0
     lhs[:, n + 1] = np.einsum("ij,ij->i", resid, resid)
@@ -400,10 +427,15 @@ def _augmented(resid: np.ndarray) -> np.ndarray:
 
 
 def _residuals(plan: _Plan, outer: np.ndarray) -> np.ndarray:
-    """The residual rows of the given outer ranks, (len(outer), n)."""
+    """The residual rows of the given outer ranks, (len(outer), n), in the
+    workspace slot "resid" (_aligned_empty). Mode "clip" (a no-op for these
+    indices) lets np.take write into its out array unbuffered."""
     j, i = np.divmod(outer, len(plan.fast))
-    resid = np.take(plan.slow, j, axis=0)
-    resid -= np.take(plan.fast, i, axis=0)
+    shape = (len(outer), plan.fast.shape[1])
+    resid = np.take(plan.slow, j, axis=0, mode="clip",
+                    out=_aligned_empty("resid", shape, np.float64))
+    resid -= np.take(plan.fast, i, axis=0, mode="clip",
+                     out=_aligned_empty("resid_fast", shape, np.float64))
     return resid
 
 
@@ -411,7 +443,7 @@ def _tiles(plan: _Plan, radius=lambda: math.inf):
     """Every multiplied tile of float32 kernel values
     |r|^2 - 2c r.x + c^2 |x|^2, as (outer, lo, tile): tile[a, b] belongs to
     outer rank outer[a] and inner rank plan.perm[lo + b]. Each tile is a
-    view of one buffer that the next tile overwrites.
+    view of one workspace buffer that the next tile overwrites.
 
     Residual rows are built a chunk of outer ranks at a time. Without
     projections (plan.px is None), the chunks are consecutive outer ranks,
@@ -429,7 +461,7 @@ def _tiles(plan: _Plan, radius=lambda: math.inf):
     |pr - px| >= rho, up to the rounding of a - rho and b + rho, for the
     rho of the moment it was left out."""
     width = plan.width
-    buf = _aligned_empty((1, min(plan.rows * width, max(plan.cap, width))))[0]
+    buf = _aligned_empty("tile", (min(plan.rows * width, max(plan.cap, width)),))
     if plan.px is None:
         for c in range(0, plan.rows, plan.chunk):
             outer = np.arange(c, min(c + plan.chunk, plan.rows))

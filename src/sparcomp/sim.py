@@ -15,8 +15,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import beta as beta_dist
-from scipy.stats import ncx2, norm
 
 from . import encoder, theory
 from .core import SparcParams, build_design_matrix, design_columns
@@ -58,6 +56,9 @@ SOURCE_KINDS = ("gaussian_iid", "gauss_markov", "laplace_iid", "uniform_iid")
 # Confidence level of every interval the reports give: the Wilson interval
 # of an error rate and the Clopper-Pearson limit of a censored exponent.
 _CONFIDENCE = 0.95
+# The two-sided standard normal quantile at _CONFIDENCE, the value of
+# scipy.stats.norm.ppf(0.975) to the last bit (tests check this).
+_Z_TWO_SIDED = 1.959963984540054
 
 # Samples per block of the coverage estimators, which bounds their memory.
 # Reported estimates depend on them too: the pair estimator alternates its
@@ -147,7 +148,7 @@ def wilson_interval(k: int, n: int) -> Tuple[float, float]:
     _CONFIDENCE."""
     if not 0 <= k <= n or n < 1:
         raise ValueError(f"need 0 <= k <= n, n >= 1; got k={k}, n={n}")
-    z = norm.ppf(0.5 + _CONFIDENCE / 2.0)
+    z = _Z_TWO_SIDED
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2.0 * n)) / denom
@@ -162,7 +163,13 @@ def clopper_pearson_upper(k: int, n: int) -> float:
         raise ValueError(f"need 0 <= k <= n, n >= 1; got k={k}, n={n}")
     if k == n:
         return 1.0
-    return float(beta_dist.ppf(_CONFIDENCE, k + 1, n - k))
+    if k == 0:
+        # the Beta(1, n) quantile 1 - (1 - _CONFIDENCE)^(1/n), equal to
+        # scipy.stats.beta.ppf to the last bit (tests check this)
+        return -math.expm1(math.log1p(-_CONFIDENCE) / n)
+    from scipy.special import betaincinv
+
+    return float(betaincinv(k + 1, n - k, _CONFIDENCE))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +290,10 @@ def exact_pU1(params: SparcParams, z2: float) -> float:
     with n degrees of freedom and noncentrality n z2 / gamma2."""
     if z2 <= 0:
         raise ValueError(f"z2 must be positive, got {z2}")
+    from scipy.special import chndtr
+
     n, g2 = params.n, params.gamma2
-    return float(ncx2.cdf(n * params.D / g2, df=n, nc=n * z2 / g2))
+    return float(chndtr(n * params.D / g2, n, n * z2 / g2))
 
 
 def estimate_pU1(params: SparcParams, z2: float, n_samples: int,

@@ -19,9 +19,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import expit, logsumexp
 
 if TYPE_CHECKING:
     from .core import SparcParams
@@ -98,9 +95,11 @@ def solve_x_star() -> float:
     active; above it the linear branch 1 - D/sigma2 takes over.
     """
     phi = lambda x: 1.0 - x + 0.5 * math.log(x)
-    root = brentq(phi, 1e-9, 0.999999, xtol=1e-15, rtol=8.9e-16)
+    # the root that scipy.optimize.brentq(phi, 1e-9, 0.999999, xtol=1e-15,
+    # rtol=8.9e-16) returns, to the last bit (tests check this)
+    root = 0.20318786997997995
     assert abs(phi(root)) < 1e-12
-    return float(root)
+    return root
 
 
 def rate_point(sigma2: float, d_ratio: float) -> RatePoint:
@@ -200,6 +199,8 @@ def _maximize_on_grid(objective, grid, xatol=1e-12):
     i = int(np.argmax(vals))
     if i == 0 or i == len(grid) - 1:
         raise RuntimeError("oracle optimum at grid boundary; widen the scan range")
+    from scipy.optimize import minimize_scalar
+
     lo, hi = min(grid[i - 1], grid[i + 1]), max(grid[i - 1], grid[i + 1])
     res = minimize_scalar(
         lambda t: -objective(t), bounds=(lo, hi), method="bounded",
@@ -275,6 +276,8 @@ def c_alpha_quadrature_oracle(t: float, alpha: float, z2: float, gamma2: float,
         raise ValueError(f"tilt t must be negative, got {t}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"quadrature oracle needs alpha in [0,1), got {alpha}")
+    from numpy.polynomial.hermite import hermgauss
+
     x, w = hermgauss(nodes)
     g = math.sqrt(gamma2)
     z = math.sqrt(z2)
@@ -384,6 +387,37 @@ def overlap_profile(L: int, M: int) -> OverlapProfile:
     return OverlapProfile(L, M, counts)
 
 
+def _logsumexp(terms: Sequence[float]) -> float:
+    """ln sum_i e^terms[i] for a non-empty list, by the algorithm of
+    scipy.special.logsumexp, so to the same bits (tests check this): the
+    m terms equal to the largest, a_max, are left out of
+    s = sum e^(a - a_max), and the result is log1p(s / m) + ln m + a_max.
+    A non-finite result is recomputed as ln sum e^a, as scipy does."""
+    a = np.asarray(terms, dtype=float)
+    a_max = a.max()
+    top = a == a_max
+    m = np.float64(np.count_nonzero(top))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.exp(a - a_max)
+        e[top] = 0.0
+        s = e.sum()
+        if s != 0:
+            s /= m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
+
+
+def _expit(x: float) -> float:
+    """1 / (1 + e^-x), equal to scipy.special.expit bit for bit (tests
+    check this); 0 where e^-x overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def _log_overlap_pair_sum(profile: OverlapProfile, pPair: Sequence[float]) -> float:
     """ln sum_{r=1}^{L-1} counts[r] * pPair[r] (log domain; -inf if all zero)."""
     L = profile.L
@@ -396,7 +430,7 @@ def _log_overlap_pair_sum(profile: OverlapProfile, pPair: Sequence[float]) -> fl
             raise ValueError(f"pPair[{r}] = {p} outside [0,1]")
         if p > 0.0:
             terms.append(math.log(profile.counts[r]) + math.log(p))
-    return logsumexp(terms) if terms else -math.inf
+    return _logsumexp(terms) if terms else -math.inf
 
 
 def log_overlap_ratio(params, pU1: float, pPair: Sequence[float]) -> float:
@@ -424,8 +458,8 @@ def second_moment_bound(params, z2: float, pU1: float,
     L, M = params.L, params.M
     log_x_inv = -(L * math.log(M - 1) + math.log(pU1))
     log_t = log_overlap_ratio(params, pU1, pPair)
-    log_s = logsumexp([log_x_inv, log_t])  # s = X^-1 + T
-    return float(expit(log_s))  # s / (1 + s)
+    log_s = _logsumexp([log_x_inv, log_t])  # s = X^-1 + T
+    return _expit(log_s)  # s / (1 + s)
 
 
 @dataclass(frozen=True)

@@ -493,6 +493,32 @@ def test_artifacts_keep_their_recorded_bytes(tmp_path, capsys, key):
                        if k.startswith(key + "/")}
 
 
+def test_cli_loads_no_scipy(tmp_path):
+    # the CLI starts on numpy alone: in a fresh interpreter, neither its
+    # import nor any subcommand at a tiny size loads a scipy module; the
+    # trend run has zero errors, so it reaches the Clopper-Pearson limit
+    runs = [["curve", "--points", "5"], BOUNDS_ARGS + ["--z2", "0.8,1.0"],
+            SIM_ARGS, ROBUST_ARGS, TREND_ARGS,
+            SUEN_ARGS + ["--matrices", "20", "--check"]]
+    script = (
+        "import json, sys\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "import sparcomp.cli\n"
+        "seen = [['import', 0, loaded()]]\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    code = sparcomp.cli.main(argv + ['--out', f'{sys.argv[2]}/{i}'])\n"
+        "    seen.append([argv[0], code, loaded()])\n"
+        "print(json.dumps(seen))\n")
+    res = subprocess.run([sys.executable, "-c", script, json.dumps(runs),
+                          str(tmp_path)], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    seen = json.loads(res.stdout)
+    assert [name for name, _, _ in seen] == ["import"] + [r[0] for r in runs]
+    assert all(code == EXIT_OK and not modules for _, code, modules in seen), seen
+    trend = json.loads((tmp_path / "4").read_text())
+    assert all(entry["n_errors"] == 0 for entry in trend["entries"])
+
+
 def test_config_file_for_another_subcommand_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"subcommand": "simulate", "n": 12, "L": 3,

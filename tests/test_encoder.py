@@ -2,6 +2,10 @@
 brute-force oracle, tie-break determinism, codebook monotonicity, the
 float32 tiled kernel, the projection bound and the batched exact scorer."""
 
+import json
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -575,13 +579,89 @@ def test_kernel_error_within_tolerance(n, L, M):
 
 def test_kernel_buffers_start_on_a_cache_line():
     for shape in [(1, 1), (3, 5), (15, 4096), (17, 256)]:
-        buf = encoder._aligned_empty(shape)
-        assert buf.shape == shape and buf.dtype == np.float32
-        assert buf.flags.c_contiguous and buf.flags.writeable
-        assert buf.ctypes.data % encoder._ALIGN == 0
+        for dtype in (np.float32, np.float64):
+            buf = encoder._aligned_empty("test", shape, dtype)
+            assert buf.shape == shape and buf.dtype == dtype
+            assert buf.flags.c_contiguous and buf.flags.writeable
+            assert buf.ctypes.data % encoder._ALIGN == 0
     p = make_params(6, 3, 16, 1.0, 0.5, seed=1)
     plan = encoder._Plan(build_design_matrix(p), np.zeros(p.n))
     assert plan.aug.ctypes.data % encoder._ALIGN == 0
+
+
+def test_workspace_slots_grow_and_are_reused():
+    # a slot keeps its buffer for any request that fits and replaces it by
+    # a larger one when one does not; other slots are separate buffers
+    big = encoder._aligned_empty("test_slot", (15, 4096))
+    small = encoder._aligned_empty("test_slot", (3, 5), np.float64)
+    assert np.shares_memory(big, small)
+    assert not np.shares_memory(big, encoder._aligned_empty("test_other", (3, 5)))
+    bigger = encoder._aligned_empty("test_slot", (16, 4096))
+    assert not np.shares_memory(big, bigger)
+    assert np.shares_memory(bigger, encoder._aligned_empty("test_slot", (15, 4096)))
+
+
+_STEADY_SEARCHES = """
+import json, resource, sys
+import numpy as np
+from sparcomp.core import build_design_matrix, make_params
+from sparcomp.encoder import encode_min_distance, sample_power
+p = make_params(14, 6, 16, 1.0, 0.3, seed=7)
+mt = build_design_matrix(p)
+sources = [s * (0.9 / sample_power(s)) ** 0.5
+           for s in np.random.default_rng(7).normal(size=(41, p.n))]
+statuses = [encode_min_distance(mt, sources[0]).status]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+statuses += [encode_min_distance(mt, s).status for s in sources[1:]]
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps([faults, statuses, [m for m in sys.modules if m.startswith("scipy")]]))
+"""
+
+
+def test_searches_fault_in_no_new_memory():
+    # after one warm 14-6-16 search, 40 more fault in fewer than 5 pages
+    # each: the large buffers stay in the thread's workspace. The process
+    # imports no scipy, so glibc's mmap threshold starts at 128 KiB and
+    # every freed block above it would be unmapped and faulted back in
+    res = subprocess.run([sys.executable, "-c", _STEADY_SEARCHES],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    faults, statuses, scipy_modules = json.loads(res.stdout)
+    assert scipy_modules == [] and statuses == [STATUS_OK] * 41
+    assert faults < 5 * 40
+
+
+def test_concurrent_searches_keep_their_own_buffers(monkeypatch):
+    # two threads search different 14-6-16 sources at the same time, each
+    # in its own workspace, and both find the oracle's codeword and
+    # distortion every time
+    p = make_params(14, 6, 16, 1.0, 0.3, seed=7)
+    mt = build_design_matrix(p)
+    sources = [_in_gate(p, draw_source(SourceModel("gaussian_iid", 1.0), p.n, t))
+               for t in (1, 2)]
+    monkeypatch.setattr(encoder, "ORACLE_CAP", p.n_codewords)
+    want = [encode_oracle(mt, s) for s in sources]
+    assert want[0].beta != want[1].beta
+    start = threading.Barrier(2)
+    got = [[], []]
+
+    def search(t):
+        start.wait()
+        for _ in range(20):
+            got[t].append(encode_min_distance(mt, sources[t]))
+
+    threads = [threading.Thread(target=search, args=(t,)) for t in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often, mid-search
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[want[0]] * 20, [want[1]] * 20]
 
 
 @pytest.mark.parametrize("n, L, M", [(8, 3, 16), (12, 3, 64), (14, 6, 16),

@@ -3,8 +3,6 @@ and audit trail, coverage-probability estimators against the exact noncentral
 chi-square value, and the bound/robustness/trend drivers."""
 
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -100,15 +98,6 @@ def test_gauss_markov_matches_lfilter(phi, n):
         assert got.tobytes() == want.tobytes()
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sparcomp.cli; print('scipy.signal' in sys.modules)"],
-        capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
-
-
 # ---------------------------------------------------------------------------
 # binomial intervals
 # ---------------------------------------------------------------------------
@@ -142,6 +131,34 @@ def test_clopper_pearson_upper_matches_beta_quantile():
     assert clopper_pearson_upper(0, 60) == pytest.approx(
         1.0 - 0.05 ** (1.0 / 60.0), abs=1e-12)
     assert clopper_pearson_upper(60, 60) == 1.0
+
+
+def test_clopper_pearson_upper_is_scipys_quantile_bit_for_bit():
+    # k = 0 has the closed form -expm1(log1p(-0.95) / n); every n up to
+    # 200,000 and 20,000 random n below 10^9 give scipy's Beta(1, n)
+    # quantile to the last bit, and 0 < k < n gives its Beta(k + 1, n - k)
+    # quantile
+    n = np.arange(1, 200_001)
+    got = np.array([clopper_pearson_upper(0, int(m)) for m in n])
+    assert np.array_equal(got, beta_dist.ppf(0.95, 1, n))
+    n = np.random.default_rng(13).integers(1, 10 ** 9, size=20_000)
+    got = np.array([clopper_pearson_upper(0, int(m)) for m in n])
+    assert np.array_equal(got, beta_dist.ppf(0.95, 1, n))
+    for k, m in [(1, 2), (1, 60), (7, 40), (39, 40), (500, 20_000)]:
+        assert clopper_pearson_upper(k, m) == beta_dist.ppf(0.95, k + 1, m - k)
+
+
+def test_wilson_interval_uses_scipys_normal_quantile():
+    # the literal z of the interval is norm.ppf(0.975) to the last bit
+    from scipy.stats import norm
+
+    z = float(norm.ppf(0.975))
+    lo, hi = wilson_interval(7, 40)
+    phat, n = 7 / 40, 40
+    denom = 1.0 + z * z / n
+    center = (phat + z * z / (2.0 * n)) / denom
+    half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
+    assert (lo, hi) == (center - half, center + half)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +231,20 @@ def test_exact_pU1_reference_value(tiny):
     assert 0.0 < val < 1.0
     again = exact_pU1(tiny, 0.8)
     assert val == again
+
+
+def test_exact_pU1_is_scipys_ncx2_cdf(tiny):
+    # chndtr, which exact_pU1 calls, gives the value of scipy.stats.ncx2.cdf
+    # bit for bit, across block lengths, distortions and source powers
+    from scipy.stats import ncx2
+
+    rng = np.random.default_rng(14)
+    for trial in range(2000):
+        n = int(rng.integers(2, 40))
+        D, g2 = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.1, 2.0))
+        z2 = float(rng.uniform(0.01, 3.0))
+        want = ncx2.cdf(n * D / g2, df=n, nc=n * z2 / g2)
+        assert exact_pU1(replace(tiny, n=n, D=D, gamma2=g2), z2) == float(want)
 
 
 def test_estimate_pU1_matches_exact(tiny):

@@ -37,6 +37,15 @@ def test_x_star_defining_equation():
     assert 0.2022 <= x <= 0.2042
 
 
+def test_x_star_is_brentqs_root():
+    # the literal root is what the bracketing solver it replaces returns
+    from scipy.optimize import brentq
+
+    phi = lambda x: 1.0 - x + 0.5 * math.log(x)
+    root = brentq(phi, 1e-9, 0.999999, xtol=1e-15, rtol=8.9e-16)
+    assert th.solve_x_star() == root
+
+
 def test_sparc_rate_branches():
     # below the crossover the Shannon branch is active, above it the linear one
     x = th.solve_x_star()
@@ -447,3 +456,53 @@ def test_t_bound_slope_matches_analytic_rate():
     want = -(b - th.b_min(R, D, rho2, "rd")) * (R - (1.0 - D / rho2)) / R
     assert want == pytest.approx(-0.5833333333, abs=1e-9)
     assert slope == pytest.approx(want, rel=0.10)
+
+
+# ---------------------------------------------------------------------------
+# numpy ports of scipy.special, bit for bit
+# ---------------------------------------------------------------------------
+
+def test_logsumexp_port_matches_scipy_bit_for_bit():
+    # 100,000 lists of length 1-16 at three magnitudes, a third of them
+    # with ties for the maximum (which scipy counts apart) and some
+    # rounded so that more terms tie; scipy is called per length on a 2-D
+    # block, whose rows a spot check ties to the call on a flat list
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(11)
+    total = 0
+    for length in range(1, 17):
+        count = 6250
+        a = rng.normal(size=(count, length)) \
+            * rng.choice([1.0, 30.0, 800.0], size=(count, 1))
+        tied = rng.random(count) < 1 / 3
+        for row in np.flatnonzero(tied):
+            a[row, rng.integers(0, length, size=rng.integers(1, length + 1))] = \
+                a[row].max()
+        rounded = rng.random(count) < 0.2
+        a[rounded] = np.round(a[rounded])
+        want = logsumexp(a, axis=1)
+        for row in range(0, count, 97):
+            assert logsumexp(a[row]) == want[row]
+        got = np.array([th._logsumexp(list(row)) for row in a])
+        assert np.array_equal(got, want)
+        total += count
+    assert total >= 100_000
+    assert th._logsumexp([-math.inf, -math.inf]) == -math.inf
+    assert th._logsumexp([math.inf, 0.0]) == math.inf
+
+
+def test_expit_port_matches_scipy_bit_for_bit():
+    # 300,000 points: the bulk, the tails beyond the float64 range of
+    # e^-x (x < -709.78 overflows, large x gives 1), and the specials
+    from scipy.special import expit
+
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.normal(scale=5.0, size=100_000),
+                        rng.uniform(-800.0, 800.0, size=100_000),
+                        rng.uniform(-760.0, -700.0, size=100_000),
+                        [0.0, -0.0, -709.0, -710.0, -745.2, -1e308, 1e308,
+                         math.inf, -math.inf]])
+    got = np.array([th._expit(float(v)) for v in x])
+    assert np.array_equal(got, expit(x))
+    assert (x < -709.0).sum() > 30_000
