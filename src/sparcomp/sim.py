@@ -5,7 +5,8 @@ validation of those bounds and of the robustness claim.
 Seeding is splittable and documented: every random object derives from
 SeedSequence([seed, stream, index]) with stream 1 for design matrices,
 2 for source draws and 3 for probability estimators, so trials are
-order-independent and reports are reproducible bit for bit.
+order-independent and reports are reproducible bit for bit. Matrix seeds
+come from _derive_seeds, a vectorized port of that derivation.
 """
 
 from __future__ import annotations
@@ -60,23 +61,109 @@ _CONFIDENCE = 0.95
 # scipy.stats.norm.ppf(0.975) to the last bit (tests check this).
 _Z_TWO_SIDED = 1.959963984540054
 
-# Samples per block of the coverage estimators, which bounds their memory.
-# Reported estimates depend on them too: the pair estimator alternates its
-# x and y draws per block and the tilted one sums its weights per block.
+# Samples per block of the coverage estimators. They fix the draw order,
+# not the memory: the pair estimator draws a block's x normals, then its y
+# normals, and the tilted pU1 estimator sums its weights per block, so
+# its estimate depends on _PU1_CHUNK. The untilted pU1 estimator counts
+# hits row by row, so its estimate does not depend on any block size.
 _PU1_CHUNK = 200_000
 _PAIR_CHUNK = 100_000
-# Codeword entries (matrices x M^L x n float64) that validate_bounds scores
-# per block of design matrices, which bounds its memory; a block holds at
-# least one matrix, whose ranks all_distortions scores in chunks.
-_COVER_BLOCK = 1 << 19
+# Normals (float64, 256 KiB) per reused draw buffer of the untilted
+# estimators: they fill whole rows of at most this many entries at a time
+# with standard_normal(out=...), which draws the same numbers in the same
+# order as one call for the whole block.
+_DRAW_BLOCK = 1 << 15
+# Codeword entries (matrices x M^L x n float64, 512 KiB) that
+# validate_bounds scores per block of design matrices, which bounds its
+# memory; a block holds at least one matrix, whose ranks all_distortions
+# scores in chunks. The result does not depend on it.
+_COVER_BLOCK = 1 << 16
+
+# numpy's SeedSequence hash (pool of 4 words, 32-bit arithmetic), for
+# _derive_seeds
+_MASK32 = 0xFFFF_FFFF
+_POOL = 4
+_INIT_A = 0x43B0_D7E5
+_MULT_A = 0x931E_8875
+_INIT_B = 0x8B51_F9DD
+_MULT_B = 0x58F3_8DED
+_MIX_L = 0xCA01_F9DD
+_MIX_R = 0x4973_F715
 
 
 def _seed_seq(seed: int, stream: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed), int(stream), int(index)])
 
 
-def _derive_u64(seed: int, stream: int, index: int) -> int:
-    return int(_seed_seq(seed, stream, index).generate_state(1, np.uint64)[0])
+def _words(value: int) -> List[int]:
+    """The little-endian 32-bit words SeedSequence takes from an integer
+    entropy value; 0 gives one word."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_state(entropy: List[np.ndarray]) -> np.ndarray:
+    """SeedSequence(entropy words).generate_state(1, np.uint64) lane by
+    lane: entropy holds one uint32 array per word, all of one length, and
+    uint32 array arithmetic wraps modulo 2^32 as the C code does."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ (value >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const = _INIT_B
+    state = []
+    for value in pool[:2]:
+        value = value ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    return state[0] | (state[1] << 32)
+
+
+def _derive_seeds(seed: int, stream: int, indices) -> np.ndarray:
+    """SeedSequence([seed, stream, i]).generate_state(1, np.uint64)[0] for
+    every index i (below 2^64) in indices, as a uint64 array, bit for bit
+    and in one vectorized pass per entropy length (tests check this). The
+    entropy is the words of seed, then stream, then i (_words); lanes
+    whose index takes two words hash apart."""
+    seed_words = _words(seed) + _words(stream)
+    idx = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    out = np.empty(idx.size, dtype=np.uint64)
+    wide = idx > _MASK32
+    low = (idx & _MASK32).astype(np.uint32)
+    high = (idx >> 32).astype(np.uint32)
+    for lanes, tail in ((~wide, (low,)), (wide, (low, high))):
+        if lanes.any():
+            count = int(np.count_nonzero(lanes))
+            entropy = [np.full(count, w, dtype=np.uint32) for w in seed_words]
+            out[lanes] = _seed_state(entropy + [t[lanes] for t in tail])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +316,10 @@ def run_experiment(params: SparcParams, model: SourceModel, n_trials: int,
         raise ValueError(f"need n_trials >= 1, got {n_trials}")
     if seed is None:
         seed = params.seed
-    fixed = None if fresh_matrix else build_design_matrix(params)
+    if fresh_matrix:
+        matrix_seeds = _derive_seeds(seed, MATRIX_STREAM, range(n_trials))
+    else:
+        fixed = build_design_matrix(params)
 
     records: List[TrialRecord] = []
     status_counts = {STATUS_OK: 0, STATUS_VARIANCE_OVERFLOW: 0, STATUS_TRIVIAL_ZERO: 0}
@@ -237,7 +327,7 @@ def run_experiment(params: SparcParams, model: SourceModel, n_trials: int,
         source = draw_source(model, params.n, _seed_seq(seed, SOURCE_STREAM, trial))
         if fresh_matrix:
             matrix = build_design_matrix(
-                replace(params, seed=_derive_u64(seed, MATRIX_STREAM, trial)))
+                replace(params, seed=int(matrix_seeds[trial])))
         else:
             matrix = fixed
         result = encode_min_distance(matrix, source)
@@ -312,16 +402,18 @@ def estimate_pU1(params: SparcParams, z2: float, n_samples: int,
     rng = np.random.default_rng(_seed_seq(seed, ESTIMATOR_STREAM, 0))
 
     if not tilted:
+        # a hit depends on its own row alone, so the rows stream through
+        # one reused buffer of _DRAW_BLOCK normals
+        rows = max(1, _DRAW_BLOCK // n)
+        buf = np.empty((min(rows, n_samples), n))
         hits = 0
-        done = 0
-        while done < n_samples:
-            m = min(_PU1_CHUNK, n_samples - done)
-            x = rng.standard_normal((m, n))
+        for lo in range(0, n_samples, rows):
+            x = buf[:min(rows, n_samples - lo)]
+            rng.standard_normal(out=x)
             x *= math.sqrt(g2)
             x -= z
             v = np.einsum("ij,ij->i", x, x)
             hits += int(np.count_nonzero(v <= n * D))
-            done += m
         p = hits / n_samples
         se = math.sqrt(p * (1.0 - p) / n_samples)
         return ProbabilityEstimate(p, se, n_samples, "untilted")
@@ -361,7 +453,17 @@ def estimate_pair_prob(params: SparcParams, z2: float, r: int, n_samples: int,
     """Monte Carlo estimate of P(two codewords sharing r sections both land
     within D of a power-z2 source). Coordinate pairs are jointly Gaussian
     with covariance gamma2 [[1, a], [a, 1]], a = r/L, sampled against the
-    fixed vector (z, ..., z)."""
+    fixed vector (z, ..., z).
+
+    Draw order: each block of _PAIR_CHUNK samples draws all its x normals,
+    then all its y normals, from one Generator. Both pass through a reused
+    buffer of _DRAW_BLOCK normals, and only the raw x rows whose first
+    codeword lands within D are kept, with their row numbers: a row with
+    v1 > n D is never a hit. The second codeword is formed for the kept
+    rows alone, by the operations and in the order of the full block, so
+    the hit count equals the full block's bit for bit. Memory: the kept
+    rows take O(pU1 _PAIR_CHUNK n) floats, at worst the x and y blocks a
+    draw of the full block would hold, plus two buffers."""
     if z2 <= 0:
         raise ValueError(f"z2 must be positive, got {z2}")
     if not 0 <= r <= params.L - 1:
@@ -374,24 +476,35 @@ def estimate_pair_prob(params: SparcParams, z2: float, r: int, n_samples: int,
     z = math.sqrt(z2)
     root = math.sqrt(1.0 - alpha * alpha)
     rng = np.random.default_rng(_seed_seq(seed, ESTIMATOR_STREAM, 1 + r))
+    rows = max(1, _DRAW_BLOCK // n)
+    buf = np.empty((min(rows, _PAIR_CHUNK, n_samples), n))
+    s1 = np.empty_like(buf)
     hits = 0
-    done = 0
-    while done < n_samples:
+    for done in range(0, n_samples, _PAIR_CHUNK):
         m = min(_PAIR_CHUNK, n_samples - done)
-        x = rng.standard_normal((m, n))
-        y = rng.standard_normal((m, n))
-        # in place, the same operations as s1 = g x and
-        # s2 = g (alpha x + root y), each less z
-        y *= root
-        y += alpha * x
-        y *= g
-        y -= z
-        x *= g
-        x -= z
-        v1 = np.einsum("ij,ij->i", x, x)
-        v2 = np.einsum("ij,ij->i", y, y)
-        hits += int(np.count_nonzero((v1 <= n * D) & (v2 <= n * D)))
-        done += m
+        # s1 = g x - z; keep (row numbers, raw x) where v1 <= n D
+        kept = []
+        for lo in range(0, m, rows):
+            x = buf[:min(rows, m - lo)]
+            rng.standard_normal(out=x)
+            s = s1[:len(x)]
+            np.multiply(x, g, out=s)
+            s -= z
+            near = np.einsum("ij,ij->i", s, s) <= n * D
+            kept.append((np.flatnonzero(near), x[near]))
+        # in place on the kept rows, the same operations as
+        # s2 = g (alpha x + root y) - z
+        for lo, (at, x) in zip(range(0, m, rows), kept):
+            y = buf[:min(rows, m - lo)]
+            rng.standard_normal(out=y)
+            if at.size:
+                y = y[at]
+                y *= root
+                y += alpha * x
+                y *= g
+                y -= z
+                v2 = np.einsum("ij,ij->i", y, y)
+                hits += int(np.count_nonzero(v2 <= n * D))
     p = hits / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
     return ProbabilityEstimate(p, se, n_samples, "untilted")
@@ -435,11 +548,15 @@ def validate_bounds(params: SparcParams, z2: float, n_matrices: int,
     estimates of the coverage probabilities. Within-bound flags use a
     3-standard-error allowance on the empirical side.
 
-    Matrix i is the one run_experiment would build for trial i. The
-    matrices are drawn a block at a time (design_columns), at most
-    _COVER_BLOCK codeword entries per block, and a matrix covers the
-    source when any codeword's exact distortion (all_distortions) is at
-    most D, so the result does not depend on the block size."""
+    Matrix i is the one run_experiment would build for trial i, seeded by
+    _derive_seeds. The matrices are drawn a block at a time
+    (design_columns), at most _COVER_BLOCK codeword entries per block, and
+    a matrix covers the source when any codeword's exact distortion
+    (all_distortions) is at most D, so the result does not depend on the
+    block size. Memory: the n_matrices seeds (8 bytes each), one block of
+    matrices and its distortions, and the estimators' reused buffers of
+    _DRAW_BLOCK normals plus the pair estimator's kept rows, O(pU1
+    _PAIR_CHUNK n) floats; nothing else grows with n_prob_samples."""
     if params.n_codewords > encoder.ORACLE_CAP:
         raise ValueError(
             f"codebook holds {params.n_codewords} candidates > cap "
@@ -455,11 +572,11 @@ def validate_bounds(params: SparcParams, z2: float, n_matrices: int,
 
     source = np.full(params.n, math.sqrt(z2))
     block = max(1, _COVER_BLOCK // (params.n_codewords * params.n))
+    seeds = _derive_seeds(seed, MATRIX_STREAM, range(n_matrices))
     events = 0
     for lo in range(0, n_matrices, block):
-        seeds = [_derive_u64(seed, MATRIX_STREAM, i)
-                 for i in range(lo, min(lo + block, n_matrices))]
-        dists = all_distortions(params, design_columns(params, seeds), source)
+        columns = design_columns(params, seeds[lo:lo + block])
+        dists = all_distortions(params, columns, source)
         events += int(np.count_nonzero(~np.any(dists <= params.D, axis=1)))
     p_emp = events / n_matrices
     se_emp = math.sqrt(p_emp * (1.0 - p_emp) / n_matrices)

@@ -13,7 +13,7 @@ import sparcomp as sp
 from sparcomp.core import build_design_matrix, make_params
 from sparcomp.encoder import STATUS_OK, encode_oracle, sample_power
 from sparcomp.sim import (
-    ESTIMATOR_STREAM, MATRIX_STREAM, SOURCE_STREAM, SourceModel, _derive_u64, _seed_seq,
+    ESTIMATOR_STREAM, MATRIX_STREAM, SOURCE_STREAM, SourceModel, _derive_seeds, _seed_seq,
     clopper_pearson_upper, draw_source, estimate_pU1, estimate_pair_prob,
     exact_pU1, exponent_trend, robustness_suite, run_experiment,
     validate_bounds, wilson_interval,
@@ -27,6 +27,11 @@ def tiny():
 
 
 GAUSS = SourceModel("gaussian_iid", 1.0)
+
+
+def _derive_u64(seed, stream, index):
+    # numpy's derivation, the reference for sim._derive_seeds
+    return int(_seed_seq(seed, stream, index).generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +374,13 @@ def _hits_pU1(params, z2, n_samples, seed, chunk):
 
 
 def _hits_pair(params, z2, r, n_samples, seed, chunk):
-    # out-of-place form of the pair estimator
+    # out-of-place form of the pair estimator: its hits and the samples
+    # whose first codeword lands within D
     n, z, g = params.n, math.sqrt(z2), math.sqrt(params.gamma2)
     alpha = r / params.L
     root = math.sqrt(1.0 - alpha * alpha)
     rng = np.random.default_rng(_seed_seq(seed, ESTIMATOR_STREAM, 1 + r))
-    hits = done = 0
+    hits = near = done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
         x = rng.standard_normal((m, n))
@@ -384,8 +390,9 @@ def _hits_pair(params, z2, r, n_samples, seed, chunk):
         v1 = np.einsum("ij,ij->i", s1 - z, s1 - z)
         v2 = np.einsum("ij,ij->i", s2 - z, s2 - z)
         hits += int(np.count_nonzero((v1 <= n * params.D) & (v2 <= n * params.D)))
+        near += int(np.count_nonzero(v1 <= n * params.D))
         done += m
-    return hits
+    return hits, near
 
 
 def _tilted_sums(params, z2, n_samples, seed, chunk):
@@ -411,20 +418,65 @@ def _tilted_sums(params, z2, n_samples, seed, chunk):
     return p, math.sqrt(max(sum_w2 / n_samples - p * p, 0.0) / n_samples)
 
 
-@pytest.mark.parametrize("seed, z2", [(0, 0.75), (6, 0.8678), (1000, 0.98)])
+@pytest.mark.parametrize("seed, z2", [(0, 0.75), (6, 0.8678), (1000, 0.98),
+                                      (2, 3.0)])
 def test_in_place_estimators_keep_their_hit_counts(monkeypatch, tiny, seed, z2):
-    # small chunks, so that the last one is partial
+    # small chunks, so that the last one is partial; draw buffers of 1 row,
+    # of 7 rows (which divide neither chunk nor n_samples) and of more rows
+    # than a pair chunk; at z2 = 3 the pair estimator keeps no x row
     monkeypatch.setattr(sp.sim, "_PU1_CHUNK", 7000)
     monkeypatch.setattr(sp.sim, "_PAIR_CHUNK", 6000)
-    n_samples = 20_000
-    est = estimate_pU1(tiny, z2, n_samples, seed=seed)
-    assert est.p == _hits_pU1(tiny, z2, n_samples, seed, 7000) / n_samples
+    n_samples = 20_003
+    hits_pU1 = _hits_pU1(tiny, z2, n_samples, seed, 7000)
     est = estimate_pU1(tiny, z2, n_samples, seed=seed, tilted=True)
     assert (est.p, est.se) == _tilted_sums(tiny, z2, n_samples, seed, 7000)
-    for r in range(tiny.L):
-        est = estimate_pair_prob(tiny, z2, r, n_samples, seed=seed)
-        hits = _hits_pair(tiny, z2, r, n_samples, seed, 6000)
-        assert est.p == hits / n_samples
+    pairs = [_hits_pair(tiny, z2, r, n_samples, seed, 6000)
+             for r in range(tiny.L)]
+    assert [near == 0 for _, near in pairs] == [z2 == 3.0] * tiny.L
+    for rows in (1, 7, 6001):
+        monkeypatch.setattr(sp.sim, "_DRAW_BLOCK", rows * tiny.n)
+        est = estimate_pU1(tiny, z2, n_samples, seed=seed)
+        assert est.p == hits_pU1 / n_samples
+        for r, (hits, _) in enumerate(pairs):
+            est = estimate_pair_prob(tiny, z2, r, n_samples, seed=seed)
+            assert est.p == hits / n_samples
+
+
+@pytest.mark.parametrize("stream", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+                                  2 ** 64 + 3])
+def test_derived_seeds_match_seed_sequence(seed, stream):
+    # one- and two-word seeds and indices, and entropy longer than the
+    # 4-word pool (a three-word seed), which numpy mixes in a further loop
+    indices = [0, 1, 2 ** 32 - 1, 2 ** 32, 5, 2 ** 32 + 7]
+    got = _derive_seeds(seed, stream, indices)
+    assert got.dtype == np.uint64
+    assert [int(v) for v in got] == [_derive_u64(seed, stream, i)
+                                     for i in indices]
+    # a batch of two-word indices alone
+    assert int(_derive_seeds(seed, stream, [2 ** 32])[0]) == _derive_u64(
+        seed, stream, 2 ** 32)
+
+
+def test_derived_seeds_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        _derive_seeds(-1, MATRIX_STREAM, range(3))
+
+
+def test_bound_validation_streams_its_scratch_memory(tiny):
+    # one criterion 6 cell: its scratch blocks (draw buffers, the pair
+    # estimator's kept rows, one block of matrices) stay far below the
+    # 29 MiB that whole 200,000-sample blocks took
+    import tracemalloc
+
+    validate_bounds(tiny, 0.756, 10, n_prob_samples=1000, seed=6)  # warm-up
+    tracemalloc.start()
+    try:
+        validate_bounds(tiny, 0.756, 2000, n_prob_samples=200_000, seed=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 def test_validate_bounds_cap_is_the_oracle_cap(monkeypatch):
