@@ -241,11 +241,7 @@ def cmd_suen(args) -> int:
             return EXIT_CHECK_FAILED
         return EXIT_OK
 
-    pU1 = sim.estimate_pU1(params, z2, args.samples, seed=args.seed)
-    pPair = [sim.estimate_pair_prob(params, z2, r, args.samples, seed=args.seed)
-             for r in range(1, params.L)]
-    su = theory.suen_bound(params, z2, pU1.p, [e.p for e in pPair])
-    sm = theory.second_moment_bound(params, z2, pU1.p, [e.p for e in pPair])
+    pU1, _, sm, su = sim.coverage_bounds(params, z2, args.samples, args.seed)
     header = ("z2,pU1,pU1_se,lambda,delta,Delta,t1,t2,t3,"
               "suen_bound,second_moment_bound")
     row = (f"{z2:.12g},{pU1.p:.12g},{pU1.se:.12g},{su.lam:.12g},{su.delta:.12g},"

@@ -39,14 +39,19 @@ the kernel tiles and one rescore:
    of the inner block is padded by one line (_padded). These buffers and
    the residual chunks are views of per-thread workspace buffers
    (_aligned_empty), reused from one search to the next.
-   When the outer rows fill at least _PRUNE_TILES full-width tiles, the
-   search also skips candidates by their projection on u = s / |s|: the
-   error of a candidate is at least |u.r - u.(c x)|. The inner block's
-   columns are ordered by u.(c x), the rows are visited in increasing
-   u.r (separable over the two factors, so no row is built to find it),
-   and each tile multiplies only the contiguous columns whose projection
-   lies within rho of its rows', where rho comes from the kernel minimum
-   so far; rows with no such column are never built.
+   The outer rows come in one order, chosen by the plan, and are built
+   a chunk at a time. When the outer rows fill at least _PRUNE_TILES
+   full-width tiles, the search also skips candidates by their
+   projection on u = s / |s|: the error of a candidate is at least
+   |u.r - u.(c x)|. The inner block's columns are ordered by u.(c x) and
+   the rows by u.r (separable over the two factors, so no row is built
+   to find it). The first chunk is the first tile, multiplied whole;
+   after it, each chunk is clipped to the rows whose projection lies
+   within rho of some column's, and each tile multiplies only the
+   contiguous columns whose projection lies within rho of its rows',
+   where rho comes from the kernel minimum so far; rows left out by the
+   clip are never built. Smaller plans take the rows in rank order and
+   multiply every row by the whole inner block.
 2. An exact rescore of the window. Kernel values differ from the scaled
    _exact_sq by at most a rigorous rounding bound tol (_kernel_tol, at
    the float32 unit roundoff), so every exact minimum lies within 2 tol
@@ -57,8 +62,8 @@ the kernel tiles and one rescore:
    are rescored with _exact_sq once, at the end of the scan (or early,
    keeping only the best, when more than a tile's worth pile up), and the
    smallest (exact score, rank) wins. The result therefore does not
-   depend on the kernel's rounding, precision, tile size or visiting
-   order.
+   depend on the kernel's rounding, precision, tile size or the order
+   of the rows.
 
 A plain oracle that scores every rank with the same scorer
 (encode_oracle) cross-validates it in tests.
@@ -177,13 +182,15 @@ def _aligned_empty(slot: str, shape: Tuple[int, ...],
     """Uninitialized C-order array starting on an _ALIGN boundary, a view
     of the calling thread's buffer for slot. The buffer grows to the
     largest size asked for so far and is kept, so the array is valid only
-    until the next request for the same slot in the same thread."""
+    until the next request for the same slot in the same thread. The slot
+    keeps the buffer's aligned part, so a request reads no address
+    (ctypes.data costs about as much as the rest of the request)."""
     size = math.prod(shape) * np.dtype(dtype).itemsize
     buf = _WORKSPACE.slots.get(slot)
-    if buf is None or len(buf) < size + _ALIGN:
-        buf = _WORKSPACE.slots[slot] = np.empty(size + _ALIGN, dtype=np.uint8)
-    start = -buf.ctypes.data % _ALIGN
-    return buf[start:start + size].view(dtype).reshape(shape)
+    if buf is None or len(buf) < size:
+        raw = np.empty(size + _ALIGN, dtype=np.uint8)
+        buf = _WORKSPACE.slots[slot] = raw[-raw.ctypes.data % _ALIGN:]
+    return buf[:size].view(dtype).reshape(shape)
 
 
 def _column_sums(columns: np.ndarray, M: int, ranks: np.ndarray,
@@ -347,15 +354,16 @@ class _Plan:
     sums are kept as two factors: fast, over sections k..L-2 (or none),
     and slow, over the last section, so outer rank j * len(fast) + i has
     the residual row r = (s - c slow[j]) - c fast[i]. The plan stores
-    those two scaled terms, and _residuals builds the rows from them.
+    those two scaled terms, and _rows builds the rows from them.
 
-    A plan whose rows fill at least _PRUNE_TILES full-width tiles also
-    projects onto the unit vector u along the source: the columns of the
-    augmented inner block are ordered by increasing px = u.(c x), perm
-    holding the inner rank of each column, and pr holds the projection
-    u.slow[j] - u.fast[i] of each outer rank's residual row, found without
-    forming the row. A smaller plan keeps the columns in rank order (perm
-    is the identity) and px is None.
+    order lists the outer ranks in the order _tiles takes them. A plan
+    whose rows fill at least _PRUNE_TILES full-width tiles projects onto
+    the unit vector u along the source: perm orders the columns of the
+    augmented inner block by increasing px = u.(c x), and order the rows
+    by increasing pr = u.slow[j] - u.fast[i], found without forming the
+    rows; px and pr are kept in those orders. A smaller plan keeps both
+    in rank order (perm and order are the identity), and px and pr are
+    None.
 
     The inner and augmented blocks live in the thread's workspace
     (_aligned_empty), as do the buffers of _tiles, and the next search
@@ -395,7 +403,8 @@ class _Plan:
         self.aug[n] = np.einsum("ij,ij->j", xt, xt)
         self.aug[n + 1] = 1.0
         self.perm = np.arange(self.width)
-        self.px = None
+        self.order = np.arange(self.rows)
+        self.px = self.pr = None
         if self.rows >= _PRUNE_TILES * self.step:
             u = _unit(source)
             # einsum, not a BLAS product: no BLAS thread wakes per search
@@ -412,31 +421,27 @@ class _Plan:
             self.aug = np.take(block, cols, axis=1, mode="clip",
                                out=_aligned_empty("aug_sorted", block.shape)
                                )[:, :self.width]
-            self.pr = ((self.slow @ u)[:, None] - self.fast @ u).reshape(-1)
+            pr = ((self.slow @ u)[:, None] - self.fast @ u).reshape(-1)
+            self.order = np.argsort(pr)
+            self.pr = pr[self.order]
 
 
-def _augmented(resid: np.ndarray) -> np.ndarray:
-    """The float32 rows [r, 1, |r|^2] of residual rows r, with |r|^2
-    computed in float64, in the workspace slot "lhs" (_aligned_empty)."""
-    n = resid.shape[1]
-    lhs = _aligned_empty("lhs", (resid.shape[0], n + 2))
+def _rows(plan: _Plan, outer: np.ndarray) -> np.ndarray:
+    """The float32 rows [r, 1, |r|^2] of the given outer ranks' residual
+    rows r, computed in float64, in the workspace slot "lhs"
+    (_aligned_empty). Mode "clip" (a no-op for these indices) lets np.take
+    write into its out array unbuffered."""
+    j, i = np.divmod(outer, len(plan.fast))
+    n = plan.fast.shape[1]
+    resid = np.take(plan.slow, j, axis=0, mode="clip",
+                    out=_aligned_empty("resid", (len(outer), n), np.float64))
+    resid -= np.take(plan.fast, i, axis=0, mode="clip",
+                     out=_aligned_empty("resid_fast", resid.shape, np.float64))
+    lhs = _aligned_empty("lhs", (len(outer), n + 2))
     lhs[:, :n] = resid
     lhs[:, n] = 1.0
     lhs[:, n + 1] = np.einsum("ij,ij->i", resid, resid)
     return lhs
-
-
-def _residuals(plan: _Plan, outer: np.ndarray) -> np.ndarray:
-    """The residual rows of the given outer ranks, (len(outer), n), in the
-    workspace slot "resid" (_aligned_empty). Mode "clip" (a no-op for these
-    indices) lets np.take write into its out array unbuffered."""
-    j, i = np.divmod(outer, len(plan.fast))
-    shape = (len(outer), plan.fast.shape[1])
-    resid = np.take(plan.slow, j, axis=0, mode="clip",
-                    out=_aligned_empty("resid", shape, np.float64))
-    resid -= np.take(plan.fast, i, axis=0, mode="clip",
-                     out=_aligned_empty("resid_fast", shape, np.float64))
-    return resid
 
 
 def _tiles(plan: _Plan, radius=lambda: math.inf):
@@ -445,62 +450,51 @@ def _tiles(plan: _Plan, radius=lambda: math.inf):
     outer rank outer[a] and inner rank plan.perm[lo + b]. Each tile is a
     view of one workspace buffer that the next tile overwrites.
 
-    Residual rows are built a chunk of outer ranks at a time. Without
-    projections (plan.px is None), the chunks are consecutive outer ranks,
-    every row is multiplied by the whole inner block, step rows per tile,
-    and the tiles come in rank order and partition all candidates.
+    One loop takes the outer ranks in plan.order and builds their rows
+    (_rows) a chunk at a time, cutting each chunk into tiles. Without
+    projections (plan.px is None), each tile is step rows by the whole
+    inner block, and the tiles partition all candidates in rank order.
 
-    With projections, the step rows of smallest projection pr come first,
-    whole. From then on radius() gives the current rho before each tile:
-    - the other rows whose pr lies within rho of some px are visited in
-      increasing pr; the rest are never built;
+    With projections, the first chunk is the first tile: step rows at
+    full width, while rho is still infinite. Then radius() gives the
+    current rho before each chunk and each tile:
+    - each later chunk is clipped to the rows whose pr lies in
+      [px[0] - rho, px[-1] + rho] (two searchsorted calls on the sorted
+      pr); the rows outside are never built;
     - a tile of rows with pr in [a, b] multiplies only the columns with px
-      in [a - rho, b + rho), at most a cap's worth of candidates;
-    - the scan ends once a - rho exceeds the largest px.
+      in [a - rho, b + rho), at most a cap's worth of candidates.
     So no candidate is multiplied twice, and every candidate left out had
     |pr - px| >= rho, up to the rounding of a - rho and b + rho, for the
     rho of the moment it was left out."""
-    width = plan.width
+    width, px, pr = plan.width, plan.px, plan.pr
     buf = _aligned_empty("tile", (min(plan.rows * width, max(plan.cap, width)),))
-    if plan.px is None:
-        for c in range(0, plan.rows, plan.chunk):
-            outer = np.arange(c, min(c + plan.chunk, plan.rows))
-            lhs = _augmented(_residuals(plan, outer))
-            for start in range(0, len(lhs), plan.step):
-                rows = lhs[start:start + plan.step]
-                tile = buf[:len(rows) * width].reshape(len(rows), width)
-                np.matmul(rows, plan.aug, out=tile)
-                yield outer[start:start + plan.step], 0, tile
-        return
-    px, pr = plan.px, plan.pr
-    head = np.argpartition(pr, plan.step - 1)[:plan.step]
-    tile = buf[:len(head) * width].reshape(len(head), width)
-    yield head, 0, np.matmul(_augmented(_residuals(plan, head)), plan.aug, out=tile)
-    rho = radius()
-    visit = (pr >= px[0] - rho) & (pr <= px[-1] + rho)
-    visit[head] = False
-    order = np.flatnonzero(visit)
-    order = order[np.argsort(pr[order])]
-    for c in range(0, len(order), plan.chunk):
-        outer = order[c:c + plan.chunk]
-        prs = pr[outer]
-        lhs = _augmented(_residuals(plan, outer))
-        start = 0
-        while start < len(lhs):
-            rho = radius()
-            lo, hi = np.searchsorted(px, (prs[start] - rho, prs[start] + rho))
-            if lo == width:
-                return
-            rows = min(len(lhs) - start, max(1, plan.cap // max(1, hi - lo)))
-            hi = np.searchsorted(px, prs[start + rows - 1] + rho)
-            if rows * (hi - lo) > plan.cap:
-                rows = max(1, plan.cap // (hi - lo))
-                hi = np.searchsorted(px, prs[start + rows - 1] + rho)
+    start, stop = 0, plan.rows
+    size = plan.chunk if px is None else plan.step
+    while start < stop:
+        outer = plan.order[start:min(start + size, stop)]
+        lhs = _rows(plan, outer)
+        at = 0
+        while at < len(lhs):
+            rows, lo, hi = min(plan.step, len(lhs) - at), 0, width
+            if px is not None:
+                rho = radius()
+                lo, hi = np.searchsorted(px, (pr[start + at] - rho,
+                                              pr[start + at] + rho))
+                rows = min(len(lhs) - at, max(1, plan.cap // max(1, hi - lo)))
+                hi = np.searchsorted(px, pr[start + at + rows - 1] + rho)
+                if rows * (hi - lo) > plan.cap:
+                    rows = max(1, plan.cap // (hi - lo))
+                    hi = np.searchsorted(px, pr[start + at + rows - 1] + rho)
             if hi > lo:
                 tile = buf[:rows * (hi - lo)].reshape(rows, hi - lo)
-                np.matmul(lhs[start:start + rows], plan.aug[:, lo:hi], out=tile)
-                yield outer[start:start + rows], int(lo), tile
-            start += rows
+                np.matmul(lhs[at:at + rows], plan.aug[:, lo:hi], out=tile)
+                yield outer[at:at + rows], int(lo), tile
+            at += rows
+        start, size = start + len(outer), plan.chunk
+        if px is not None:
+            rho = radius()
+            start = max(start, int(np.searchsorted(pr, px[0] - rho)))
+            stop = int(np.searchsorted(pr, px[-1] + rho, side="right"))
 
 
 def _rescored(params: SparcParams, columns: np.ndarray, source: np.ndarray,
@@ -533,9 +527,12 @@ def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
     source, also gives _tiles the radius
         rho = sqrt(limit) (1 + 2 (n + 8) eps) + 2 (3n + 8) eps
     in scaled units, with eps = 2^-24 the roundoff bound of _kernel_tol,
-    and _tiles leaves out every candidate whose projected error |pr - px|
-    reaches rho. Each candidate q left out has a scaled exact score E(q)
-    strictly above that of a multiplied candidate:
+    and _tiles leaves out only candidates whose projected error |pr - px|
+    reaches rho: the columns outside a tile's slice, and every column of
+    a row that the clip of its chunk leaves out, whose pr lies outside
+    [px[0] - rho, px[-1] + rho] and so more than rho from every px. Each
+    candidate q left out has a scaled exact score E(q) strictly above
+    that of a multiplied candidate:
     - Let v = slow[j] - fast[i] - c x, in exact arithmetic on the plan's
       float64 values. As in _kernel_tol, the plan's path to v and the
       scorer's codeword round L + 2 and L + 1 times and the scorer's dot
@@ -559,8 +556,8 @@ def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
     when its tile was scanned and was never dropped. Comparing
     (score, rank) then gives the smallest rank among the exact minima,
     whatever order the tiles came in. Memory stays bounded by one tile,
-    at most two tiles' worth of pending candidates and O(rows) index
-    arrays."""
+    at most two tiles' worth of pending candidates and the plan's O(rows)
+    arrays: the order of the outer ranks and their sorted pr."""
     plan = _Plan(matrix, source)
     p = matrix.params
     columns = matrix.entries.T
@@ -581,12 +578,8 @@ def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
         # a float32 value is <= limit exactly when it is <= limit rounded to
         # float32, so comparing in float32 keeps the whole window
         at = np.flatnonzero(tile <= limit)
-        if plan.px is None:
-            # whole-width tiles of consecutive outer ranks
-            ranks = int(outer[0]) * plan.width + at
-        else:
-            rows, cols = np.divmod(at, tile.shape[1])
-            ranks = outer[rows] * plan.width + plan.perm[lo:][cols]
+        rows, cols = np.divmod(at, tile.shape[1])
+        ranks = outer[rows] * plan.width + plan.perm[lo:][cols]
         pending.append((ranks, tile.reshape(-1)[at]))
         held += len(at)
         if held > plan.cap:

@@ -41,6 +41,7 @@ __all__ = [
     "estimate_pU1",
     "exact_pU1",
     "estimate_pair_prob",
+    "coverage_bounds",
     "validate_bounds",
     "robustness_suite",
     "exponent_trend",
@@ -539,6 +540,19 @@ class BoundCheck:
         return self.suen.bound - self.empirical_p
 
 
+def coverage_bounds(params: SparcParams, z2: float, n_samples: int,
+                    seed: int) -> tuple:
+    """(pU1, pPair, second_moment, suen): the estimates of pU1 and of the
+    pair probabilities for r = 1..L-1, n_samples draws each, and the
+    second-moment and Suen-type bounds they give."""
+    pU1 = estimate_pU1(params, z2, n_samples, seed=seed)
+    pPair = tuple(estimate_pair_prob(params, z2, r, n_samples, seed=seed)
+                  for r in range(1, params.L))
+    pairs = [est.p for est in pPair]
+    return (pU1, pPair, theory.second_moment_bound(params, z2, pU1.p, pairs),
+            theory.suen_bound(params, z2, pU1.p, pairs))
+
+
 def validate_bounds(params: SparcParams, z2: float, n_matrices: int,
                     n_prob_samples: int = 200_000,
                     seed: Optional[int] = None) -> BoundCheck:
@@ -581,12 +595,7 @@ def validate_bounds(params: SparcParams, z2: float, n_matrices: int,
     p_emp = events / n_matrices
     se_emp = math.sqrt(p_emp * (1.0 - p_emp) / n_matrices)
 
-    pU1 = estimate_pU1(params, z2, n_prob_samples, seed=seed)
-    pPair = tuple(estimate_pair_prob(params, z2, r, n_prob_samples, seed=seed)
-                  for r in range(1, params.L))
-    pair_vals = [est.p for est in pPair]
-    sm = theory.second_moment_bound(params, z2, pU1.p, pair_vals)
-    su = theory.suen_bound(params, z2, pU1.p, pair_vals)
+    pU1, pPair, sm, su = coverage_bounds(params, z2, n_prob_samples, seed)
     return BoundCheck(
         z2=z2, n_matrices=n_matrices, empirical_p=p_emp, empirical_se=se_emp,
         pU1=pU1, pPair=pPair, second_moment=sm, suen=su,

@@ -223,6 +223,24 @@ def test_suen_check_mode_passes(capsys):
     assert doc["meta"]["kappa_terms"] == 0
 
 
+def test_suen_and_suen_check_report_the_same_bounds(capsys):
+    # both paths take pU1 and the two bounds from sim.coverage_bounds, so
+    # at one seed and sample count they agree to the CSV's 12 digits
+    argv = ["suen", "--n", "12", "--L", "3", "--M", "4", "--D", "0.7",
+            "--z2", "0.8", "--samples", "3000", "--seed", "5"]
+    code, out, _ = run_main(capsys, *argv)
+    assert code == EXIT_OK
+    _, body = parse_csv(out)
+    row = dict(zip(body[0].split(","), body[1].split(",")))
+    code, out, _ = run_main(capsys, *argv, "--matrices", "20", "--check")
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    doc = json.loads(out)
+    for csv_key, value in [("pU1", doc["pU1"]),
+                           ("second_moment_bound", doc["second_moment_bound"]),
+                           ("suen_bound", doc["suen"]["bound"])]:
+        assert row[csv_key] == f"{value:.12g}"
+
+
 # ---------------------------------------------------------------------------
 # simulate / robustness / exponent-trend
 # ---------------------------------------------------------------------------

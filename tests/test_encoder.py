@@ -397,20 +397,20 @@ def test_all_ties_build_each_residual_row_once(monkeypatch):
     col = np.linspace(-1.0, 1.0, p.n)
     mt = DesignMatrix(p, np.tile(col[:, None], (1, p.n_columns)))
     source = col * np.sqrt((p.D + p.rho2) / 2 / sample_power(col))
-    augmented = encoder._augmented
+    rows = encoder._rows
     for prune_tiles, projects in [(8, False), (2, True)]:
         monkeypatch.setattr(encoder, "_PRUNE_TILES", prune_tiles)
         plan = encoder._Plan(mt, source)
         assert (plan.px is not None) == projects and plan.step == 3
         built = []
 
-        def counted(resid):
-            built.append(len(resid))
-            return augmented(resid)
+        def counted(plan, outer):
+            built.append(len(outer))
+            return rows(plan, outer)
 
-        monkeypatch.setattr(encoder, "_augmented", counted)
+        monkeypatch.setattr(encoder, "_rows", counted)
         res = encode_min_distance(mt, source)
-        monkeypatch.setattr(encoder, "_augmented", augmented)
+        monkeypatch.setattr(encoder, "_rows", rows)
         assert res.beta == BetaVector((0, 0, 0))
         assert sum(built) == plan.rows
 
@@ -501,8 +501,7 @@ def _tile_hits(plan, tiles):
     hits = np.zeros(plan.rows * plan.width, dtype=int)
     for outer, lo, tile in tiles:
         cols = slice(lo, lo + tile.shape[1])
-        lhs = encoder._augmented(encoder._residuals(plan, outer))
-        assert np.array_equal(tile, lhs @ plan.aug[:, cols])
+        assert np.array_equal(tile, encoder._rows(plan, outer) @ plan.aug[:, cols])
         np.add.at(hits, (outer[:, None] * plan.width + plan.perm[cols]).ravel(), 1)
     return hits
 
@@ -776,6 +775,38 @@ def test_one_exact_rescore_per_search(monkeypatch, n, L, M, D, rho2):
         calls.clear()
         assert encode_min_distance(build_design_matrix(p), source).status == STATUS_OK
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, L, M, D, rho2", [(14, 6, 16, 0.3, None),
+                                              (16, 3, 256, 0.278193, 2.0)])
+def test_tile_loop_builds_each_row_once_in_projection_order(monkeypatch, n, L,
+                                                             M, D, rho2):
+    # on seeded draws at the two shapes whose plans project: no outer rank
+    # reaches _rows twice, the first tile is step rows at full width, and
+    # the projection of each tile's first row never decreases
+    built = []
+    rows = encoder._rows
+
+    def recorded(plan, outer):
+        built.append(outer.copy())
+        return rows(plan, outer)
+
+    monkeypatch.setattr(encoder, "_rows", recorded)
+    for trial in range(3):
+        p = make_params(n, L, M, 1.0, D, rho2=rho2, seed=40 + trial)
+        source = _in_gate(p, draw_source(SourceModel("gaussian_iid", 1.0),
+                                         n, 40 + trial))
+        built.clear()
+        res, plan, tiles = _search_tiles(monkeypatch, build_design_matrix(p), source)
+        assert res.status == STATUS_OK and plan.px is not None
+        ranks = np.concatenate(built)
+        assert len(np.unique(ranks)) == len(ranks) < plan.rows
+        _, first_lo, first = tiles[0]
+        assert first.shape == (plan.step, plan.width) and first_lo == 0
+        pr = np.empty(plan.rows)
+        pr[plan.order] = plan.pr
+        firsts = pr[[outer[0] for outer, _, _ in tiles]]
+        assert (np.diff(firsts) >= 0).all()
 
 
 @pytest.mark.parametrize("n, L, M, inner_cols, tile_bytes", PROJECTED)
