@@ -45,7 +45,10 @@ the kernel tiles and one rescore:
    projection on u = s / |s|: the error of a candidate is at least
    |u.r - u.(c x)|. The inner block's columns are ordered by u.(c x) and
    the rows by u.r (separable over the two factors, so no row is built
-   to find it). The first chunk is the first tile, multiplied whole;
+   to find it), each by one in-place sort of int64 keys that pack a
+   projection, rounded down in its low bits, with its rank
+   (_sorted_differences), in workspace buffers. The first chunk is the
+   first tile, multiplied whole;
    after it, each chunk is clipped to the rows whose projection lies
    within rho of some column's, and each tile multiplies only the
    contiguous columns whose projection lies within rho of its rows',
@@ -345,6 +348,49 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return w / math.sqrt(float(w @ w))
 
 
+# The magnitude bits of a float64 viewed as int64. XOR-ing them into the
+# negative values maps every float64 to an int64 in the same order.
+_MAGNITUDE = (1 << 63) - 1
+
+
+def _sorted_differences(a: np.ndarray, b: np.ndarray,
+                        slot: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The differences a[j] - b[i], sorted, and their ranks j * len(b) + i
+    in that order, ties going to the smaller rank: (order, values), both
+    of length len(a) * len(b), views of the workspace slots slot + "_order"
+    and slot + "_key" (_aligned_empty).
+
+    One in-place sort of packed int64 keys orders them. Each float64
+    difference is written into the key slot and mapped to an int64 in the
+    same order (the magnitude bits of negative values flipped); its low
+    bits = (rows - 1).bit_length() bits are cleared and the rank is added
+    into them. After the sort, order is the low bits, and values are the
+    high bits mapped back to float64, in place. A value is therefore the
+    difference with the low bits of its float64 bit pattern cleared
+    towards -inf: it never exceeds the difference, by less than
+    2^(bits - 52) |value| for normal values and by less than 2^(bits - 1074)
+    below them (a difference of -0.0 becomes a tiny negative value)."""
+    rows = len(a) * len(b)
+    low = (1 << (rows - 1).bit_length()) - 1
+    grid = _aligned_empty(slot + "_key", (len(a), len(b)), np.int64)
+    order = _aligned_empty(slot + "_order", (rows,), np.int64)
+    key = grid.reshape(-1)
+    np.subtract(a[:, None], b, out=grid.view(np.float64))
+    # order is scratch until the sort: the magnitude mask of each negative key
+    np.right_shift(key, 63, out=order)
+    order &= _MAGNITUDE
+    key ^= order
+    key &= ~low
+    grid += np.arange(0, rows, len(b))[:, None]
+    grid += np.arange(len(b))
+    key.sort()
+    np.bitwise_and(key, low, out=order)
+    key &= ~low
+    # sorted, the negative keys come first
+    key[:np.searchsorted(key, 0)] ^= _MAGNITUDE
+    return order, key.view(np.float64)
+
+
 class _Plan:
     """One search's float32 kernel inputs, scaled by the power of two from
     _kernel_tol.
@@ -361,14 +407,18 @@ class _Plan:
     the unit vector u along the source: perm orders the columns of the
     augmented inner block by increasing px = u.(c x), and order the rows
     by increasing pr = u.slow[j] - u.fast[i], found without forming the
-    rows; px and pr are kept in those orders. A smaller plan keeps both
-    in rank order (perm and order are the identity), and px and pr are
-    None.
+    rows; ties go to the smaller rank. Both orders come from
+    _sorted_differences (the columns as a one-column grid, b = [0]), so
+    px and pr, kept in those orders, are the computed projections with
+    the low bits of their keys cleared: each lies at or below its
+    projection, within the key rounding that _search_min allows for. A
+    smaller plan keeps both in rank order (perm and order are the
+    identity), and px and pr are None.
 
-    The inner and augmented blocks live in the thread's workspace
-    (_aligned_empty), as do the buffers of _tiles, and the next search
-    reuses them: a plan's arrays are valid until the next plan is built in
-    the same thread."""
+    order, pr, perm and px, the inner and augmented blocks and the buffers
+    of _tiles are views of the thread's workspace (_aligned_empty), and
+    the next search reuses them: a plan's arrays are valid until the next
+    plan is built in the same thread."""
 
     def __init__(self, matrix: DesignMatrix, source: np.ndarray):
         p = matrix.params
@@ -402,16 +452,16 @@ class _Plan:
         np.multiply(xt, -2.0, out=self.aug[:n])
         self.aug[n] = np.einsum("ij,ij->j", xt, xt)
         self.aug[n + 1] = 1.0
-        self.perm = np.arange(self.width)
-        self.order = np.arange(self.rows)
-        self.px = self.pr = None
-        if self.rows >= _PRUNE_TILES * self.step:
+        if self.rows < _PRUNE_TILES * self.step:
+            self.perm = np.arange(self.width)
+            self.order = np.arange(self.rows)
+            self.px = self.pr = None
+        else:
             u = _unit(source)
             # einsum, not a BLAS product: no BLAS thread wakes per search
-            px = np.einsum("i,ij->j", u, xt)
+            self.perm, self.px = _sorted_differences(
+                np.einsum("i,ij->j", u, xt), np.zeros(1), "cols")
             del xt
-            self.perm = np.argsort(px)
-            self.px = px[self.perm]
             # one take permutes the columns into a second padded block, whose
             # padding columns copy column 0 and are never read; mode "clip"
             # (a no-op for these indices) writes straight into it, where the
@@ -421,9 +471,8 @@ class _Plan:
             self.aug = np.take(block, cols, axis=1, mode="clip",
                                out=_aligned_empty("aug_sorted", block.shape)
                                )[:, :self.width]
-            pr = ((self.slow @ u)[:, None] - self.fast @ u).reshape(-1)
-            self.order = np.argsort(pr)
-            self.pr = pr[self.order]
+            self.order, self.pr = _sorted_differences(
+                self.slow @ u, self.fast @ u, "rows")
 
 
 def _rows(plan: _Plan, outer: np.ndarray) -> np.ndarray:
@@ -540,13 +589,19 @@ def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
     - px = u.(c x), u.slow[j] and u.fast[i] are length-n dot products of
       u, |u| <= 1 + (n + 3) eps, with vectors of norm at most Lam' < 1, so
       each errs by at most n eps to first order, and pr = u.slow[j] -
-      u.fast[i] rounds once more, by at most 2 eps. Rounding a - rho and
-      b + rho moves the slice ends by at most (2 + rho) eps, as
-      |pr| <= 2 |u| Lam'. So |u.v| >= rho (1 - eps) - (3n + 4) eps, and
-      |v| >= |u.v| / |u|. The margins in rho are at least twice these
-      terms, which leaves room for the higher-order terms and for the
-      rounding of limit, of its square root and of rho itself:
-      |v|^2 > low + 2 tol.
+      u.fast[i] rounds once more, by at most 2 eps. The sort's packed
+      keys (_sorted_differences) round pr and px down, by less than
+      2^(bits - 52) |value| + 2^(bits - 1074) for bits the bit length of
+      the largest rank: bits <= 25 for pr (rows <= SEARCH_CAP / width,
+      width >= 2) with |pr| <= 2 |u| Lam', and bits <= 26 for px with
+      |px| <= |u| Lam', so each moves by at most 2^-26 = eps / 4 to first
+      order (the absolute term is below 2^-1048). Rounding a - rho and b + rho moves the slice ends by at most
+      (2 + rho) eps, as |pr| <= 2 |u| Lam'. So
+      |u.v| >= rho (1 - eps) - (3n + 4.5) eps, and |v| >= |u.v| / |u|.
+      The margins in rho, (2n + 16) eps relative and (6n + 16) eps
+      absolute, are at least twice these terms, which leaves room for the
+      higher-order terms and for the rounding of limit, of its square root
+      and of rho itself: |v|^2 > low + 2 tol.
     - Hence E(q) > |v|^2 - tol > low + tol >= E(q*), where q* is the
       multiplied candidate whose kernel value is low at the moment q was
       left out (low only falls).
@@ -556,8 +611,9 @@ def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
     when its tile was scanned and was never dropped. Comparing
     (score, rank) then gives the smallest rank among the exact minima,
     whatever order the tiles came in. Memory stays bounded by one tile,
-    at most two tiles' worth of pending candidates and the plan's O(rows)
-    arrays: the order of the outer ranks and their sorted pr."""
+    at most two tiles' worth of pending candidates and the plan's two
+    O(rows) workspace slots, which hold the order of the outer ranks and
+    their sorted pr and are reused by the next search in the thread."""
     plan = _Plan(matrix, source)
     p = matrix.params
     columns = matrix.entries.T

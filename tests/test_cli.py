@@ -511,7 +511,7 @@ def test_artifacts_keep_their_recorded_bytes(tmp_path, capsys, key):
                        if k.startswith(key + "/")}
 
 
-def test_cli_loads_no_scipy(tmp_path):
+def test_cli_loads_no_scipy(tmp_path, child_env):
     # the CLI starts on numpy alone: in a fresh interpreter, neither its
     # import nor any subcommand at a tiny size loads a scipy module; the
     # trend run has zero errors, so it reaches the Clopper-Pearson limit
@@ -528,7 +528,8 @@ def test_cli_loads_no_scipy(tmp_path):
         "    seen.append([argv[0], code, loaded()])\n"
         "print(json.dumps(seen))\n")
     res = subprocess.run([sys.executable, "-c", script, json.dumps(runs),
-                          str(tmp_path)], capture_output=True, text=True)
+                          str(tmp_path)], capture_output=True, text=True,
+                         env=child_env)
     assert res.returncode == 0, res.stderr
     seen = json.loads(res.stdout)
     assert [name for name, _, _ in seen] == ["import"] + [r[0] for r in runs]
@@ -549,9 +550,9 @@ def test_config_file_for_another_subcommand_exits_2(tmp_path, capsys):
 # console entry point
 # ---------------------------------------------------------------------------
 
-def test_module_entry_point_runs():
+def test_module_entry_point_runs(child_env):
     res = subprocess.run(
         [sys.executable, "-m", "sparcomp.cli", "curve", "--points", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env)
     assert res.returncode == 0
     assert "d_ratio,r_shannon,r_sp,branch" in res.stdout

@@ -605,10 +605,11 @@ import json, resource, sys
 import numpy as np
 from sparcomp.core import build_design_matrix, make_params
 from sparcomp.encoder import encode_min_distance, sample_power
-p = make_params(14, 6, 16, 1.0, 0.3, seed=7)
+n, L, M, D, rho2, count = json.loads(sys.argv[1])
+p = make_params(n, L, M, 1.0, D, rho2=rho2, seed=7)
 mt = build_design_matrix(p)
 sources = [s * (0.9 / sample_power(s)) ** 0.5
-           for s in np.random.default_rng(7).normal(size=(41, p.n))]
+           for s in np.random.default_rng(7).normal(size=(count + 1, p.n))]
 statuses = [encode_min_distance(mt, sources[0]).status]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 statuses += [encode_min_distance(mt, s).status for s in sources[1:]]
@@ -617,17 +618,31 @@ print(json.dumps([faults, statuses, [m for m in sys.modules if m.startswith("sci
 """
 
 
-def test_searches_fault_in_no_new_memory():
-    # after one warm 14-6-16 search, 40 more fault in fewer than 5 pages
-    # each: the large buffers stay in the thread's workspace. The process
-    # imports no scipy, so glibc's mmap threshold starts at 128 KiB and
-    # every freed block above it would be unmapped and faulted back in
-    res = subprocess.run([sys.executable, "-c", _STEADY_SEARCHES],
-                         capture_output=True, text=True)
+def _steady_search_faults(env, n, L, M, D, rho2, count):
+    """Minor page faults of count searches at one shape after a warm one,
+    in a fresh interpreter that imports no scipy, so glibc's mmap threshold
+    starts at 128 KiB and every freed block above it would be unmapped and
+    faulted back in."""
+    res = subprocess.run([sys.executable, "-c", _STEADY_SEARCHES,
+                          json.dumps([n, L, M, D, rho2, count])],
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     faults, statuses, scipy_modules = json.loads(res.stdout)
-    assert scipy_modules == [] and statuses == [STATUS_OK] * 41
-    assert faults < 5 * 40
+    assert scipy_modules == [] and statuses == [STATUS_OK] * (count + 1)
+    return faults
+
+
+def test_searches_fault_in_no_new_memory(child_env):
+    # after one warm 14-6-16 search, 40 more fault in fewer than 5 pages
+    # each: the large buffers stay in the thread's workspace
+    assert _steady_search_faults(child_env, 14, 6, 16, 0.3, None, 40) < 5 * 40
+
+
+def test_projected_rows_fault_in_no_new_memory(child_env):
+    # after one warm 16-3-256 search, 20 more fault in fewer than 16 pages
+    # each: the 65,536 rows are sorted by projection in two workspace slots
+    # (_sorted_differences), not in arrays mapped afresh per search
+    assert _steady_search_faults(child_env, 16, 3, 256, 0.278193, 2.0, 20) < 16 * 20
 
 
 def test_concurrent_searches_keep_their_own_buffers(monkeypatch):
@@ -680,6 +695,67 @@ def test_inner_block_rows_start_a_line_apart(n, L, M):
 # ---------------------------------------------------------------------------
 # projection bound
 # ---------------------------------------------------------------------------
+
+def _check_sorted_differences(a, b):
+    """_sorted_differences(a, b) against the float64 differences: values
+    non-decreasing, order a permutation of the ranks with ties going to
+    the smaller rank, and each value at or below its difference, by less
+    than the key rounding. Returns (order, values)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    order, values = encoder._sorted_differences(a, b, "test")
+    rows = len(a) * len(b)
+    bits = (rows - 1).bit_length()
+    exact = np.subtract.outer(a, b).reshape(-1)[order]
+    assert order.dtype == np.int64 and values.dtype == np.float64
+    assert sorted(order.tolist()) == list(range(rows))
+    assert (np.diff(values) >= 0).all()
+    assert (np.diff(order)[np.diff(values) == 0] > 0).all()
+    assert (values <= exact).all()
+    # both sides share a sign and a binade, so exact - values is exact
+    assert (exact - values < 2.0 ** (bits - 52) * np.abs(values)
+            + 2.0 ** (bits - 1074)).all()
+    return order, values
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.linspace(-1.0, 1.0, 3), np.array([0.3, -0.2, 0.0, 1e-310, -7.0])),
+    (_rng(11).normal(size=37), _rng(12).normal(size=23)),
+    (_rng(13).normal(size=4096), np.zeros(1)),
+    (np.array([1.5]), np.zeros(1)),
+])
+def test_sorted_differences_order_and_round_down(a, b):
+    # a 3 x 5 grid with a subnormal, a 37 x 23 grid, a one-column grid of
+    # 4096 (the column order) and a single row
+    order, values = _check_sorted_differences(a, b)
+    if len(order) == 1:
+        assert values.tolist() == [1.5] and order.tolist() == [0]
+
+
+def test_sorted_differences_ties_go_by_rank():
+    # identical columns: every difference is the same value, kept exactly
+    # where its low bits are zero, and the order is the rank order
+    order, values = _check_sorted_differences([0.75] * 6, [0.25] * 5)
+    assert order.tolist() == list(range(30)) and (values == 0.5).all()
+    order, values = _check_sorted_differences([1.0 / 3.0] * 4, [0.0] * 3)
+    assert order.tolist() == list(range(12)) and len(set(values.tolist())) == 1
+
+
+def test_sorted_differences_signed_zeros():
+    # the zero-source case: +0.0 differences stay +0.0, and the one -0.0
+    # difference (-0.0 - 0.0) sorts first, as a tiny negative value
+    order, values = _check_sorted_differences([0.0, -0.0], [0.0, -0.0])
+    assert order.tolist() == [2, 0, 1, 3]
+    assert -2.0 ** (2 - 1074) < values[0] < 0.0
+    assert values[1:].tolist() == [0.0] * 3
+    assert not np.signbit(values[1:]).any()
+
+
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+       st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_sorted_differences_any_finite_floats(a, b):
+    _check_sorted_differences(a, b)
+
 
 # (n, L, M, _INNER_COLS, _TILE_BYTES) of small searches whose plans project:
 # 64 outer rows of 2-row tiles in 8-row blocks; 32 one-row blocks of 2-row
