@@ -299,7 +299,7 @@ def design_columns(params: SparcParams, seeds: Sequence[int]) -> np.ndarray:
 @dataclass(frozen=True)
 class DesignMatrix:
     """Immutable n x (M*L) dictionary; section l owns columns
-    [l*M, (l+1)*M). entries is read-only and column-major."""
+    [l*M, (l+1)*M). entries is finite, read-only and column-major."""
 
     params: SparcParams
     entries: np.ndarray
@@ -309,6 +309,8 @@ class DesignMatrix:
         if self.entries.shape != (p.n, p.n_columns):
             raise ValueError(
                 f"entries shape {self.entries.shape} != {(p.n, p.n_columns)}")
+        if not np.isfinite(self.entries).all():
+            raise ValueError("design matrix holds non-finite entries")
         self.entries.setflags(write=False)
 
     def content_hash(self) -> str:

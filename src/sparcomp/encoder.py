@@ -47,14 +47,14 @@ the kernel tiles and one rescore:
    the rows by u.r (separable over the two factors, so no row is built
    to find it), each by one in-place sort of int64 keys that pack a
    projection, rounded down in its low bits, with its rank
-   (_sorted_differences), in workspace buffers. The first chunk is the
-   first tile, multiplied whole;
-   after it, each chunk is clipped to the rows whose projection lies
-   within rho of some column's, and each tile multiplies only the
-   contiguous columns whose projection lies within rho of its rows',
-   where rho comes from the kernel minimum so far; rows left out by the
-   clip are never built. Smaller plans take the rows in rank order and
-   multiply every row by the whole inner block.
+   (_sorted_differences), in workspace buffers; the block is augmented
+   once, in that column order. Each tile multiplies only the contiguous
+   columns whose projection lies within rho of its rows', and each chunk
+   after the first is clipped to the rows whose projection lies within
+   rho of some column's, where rho comes from the kernel minimum so far
+   (infinite for the first tile, which is multiplied whole); rows left
+   out by the clip are never built. Smaller plans take the rows in rank
+   order and multiply every row by the whole inner block.
 2. An exact rescore of the window. Kernel values differ from the scaled
    _exact_sq by at most a rigorous rounding bound tol (_kernel_tol, at
    the float32 unit roundoff), so every exact minimum lies within 2 tol
@@ -320,7 +320,9 @@ def _kernel_tol(matrix: DesignMatrix, source: np.ndarray) -> Tuple[float, float]
     lam = math.sqrt(float(source @ source)) \
         + p.c * float(col_norms.reshape(p.L, p.M).max(axis=1).sum())
     if not math.isfinite(lam):
-        raise ValueError("design matrix holds non-finite entries")
+        # DesignMatrix holds only finite entries, but their norms can overflow
+        raise ValueError("design matrix entries too large: the codeword "
+                         "error bound overflows float64")
     mant, exp = math.frexp(lam)
     u, tau = 2.0 ** -24, 2.0 ** -126
     tol = 4.0 * ((7 * p.n + 4 * p.L + 21) * u * mant * mant
@@ -405,15 +407,16 @@ class _Plan:
     order lists the outer ranks in the order _tiles takes them. A plan
     whose rows fill at least _PRUNE_TILES full-width tiles projects onto
     the unit vector u along the source: perm orders the columns of the
-    augmented inner block by increasing px = u.(c x), and order the rows
-    by increasing pr = u.slow[j] - u.fast[i], found without forming the
+    inner block by increasing px = u.(c x), and order the rows by
+    increasing pr = u.slow[j] - u.fast[i], found without forming the
     rows; ties go to the smaller rank. Both orders come from
     _sorted_differences (the columns as a one-column grid, b = [0]), so
     px and pr, kept in those orders, are the computed projections with
     the low bits of their keys cleared: each lies at or below its
     projection, within the key rounding that _search_min allows for. A
     smaller plan keeps both in rank order (perm and order are the
-    identity), and px and pr are None.
+    identity), and px and pr are None. The one augmented block aug is
+    built from the inner block with its columns taken in perm order.
 
     order, pr, perm and px, the inner and augmented blocks and the buffers
     of _tiles are views of the thread's workspace (_aligned_empty), and
@@ -444,14 +447,6 @@ class _Plan:
         self.chunk = max(1, _CHUNK_BYTES // (8 * n))
         xt = _block_sums(matrix.entries, M, k)
         xt *= cs
-        # augmented inner block: -2c x above c^2 |x|^2 and ones, so that
-        # the row [r, 1, |r|^2] times it gives |r|^2 - 2c r.x + c^2 |x|^2;
-        # a view of the first width columns of a padded block (_padded)
-        block = _aligned_empty("aug", (n + 2, _padded(self.width)))
-        self.aug = block[:, :self.width]
-        np.multiply(xt, -2.0, out=self.aug[:n])
-        self.aug[n] = np.einsum("ij,ij->j", xt, xt)
-        self.aug[n + 1] = 1.0
         if self.rows < _PRUNE_TILES * self.step:
             self.perm = np.arange(self.width)
             self.order = np.arange(self.rows)
@@ -461,18 +456,21 @@ class _Plan:
             # einsum, not a BLAS product: no BLAS thread wakes per search
             self.perm, self.px = _sorted_differences(
                 np.einsum("i,ij->j", u, xt), np.zeros(1), "cols")
-            del xt
-            # one take permutes the columns into a second padded block, whose
-            # padding columns copy column 0 and are never read; mode "clip"
-            # (a no-op for these indices) writes straight into it, where the
-            # default mode would buffer a block-sized copy
-            cols = np.zeros(block.shape[1], dtype=np.intp)
-            cols[:self.width] = self.perm
-            self.aug = np.take(block, cols, axis=1, mode="clip",
-                               out=_aligned_empty("aug_sorted", block.shape)
-                               )[:, :self.width]
+            # _block_sums leaves "inner_part" free; mode "clip" (a no-op for
+            # these indices) writes straight into it, where the default mode
+            # would buffer a block-sized copy
+            xt = np.take(xt, self.perm, axis=1, mode="clip",
+                         out=_aligned_empty("inner_part", xt.shape, np.float64))
             self.order, self.pr = _sorted_differences(
                 self.slow @ u, self.fast @ u, "rows")
+        # augmented inner block: -2c x above c^2 |x|^2 and ones, so that
+        # the row [r, 1, |r|^2] times it gives |r|^2 - 2c r.x + c^2 |x|^2;
+        # a view of the first width columns of a padded block (_padded)
+        block = _aligned_empty("aug", (n + 2, _padded(self.width)))
+        self.aug = block[:, :self.width]
+        np.multiply(xt, -2.0, out=self.aug[:n])
+        self.aug[n] = np.einsum("ij,ij->j", xt, xt)
+        self.aug[n + 1] = 1.0
 
 
 def _rows(plan: _Plan, outer: np.ndarray) -> np.ndarray:
@@ -504,10 +502,10 @@ def _tiles(plan: _Plan, radius=lambda: math.inf):
     projections (plan.px is None), each tile is step rows by the whole
     inner block, and the tiles partition all candidates in rank order.
 
-    With projections, the first chunk is the first tile: step rows at
-    full width, while rho is still infinite. Then radius() gives the
-    current rho before each chunk and each tile:
-    - each later chunk is clipped to the rows whose pr lies in
+    With projections, radius() gives the current rho before each tile and
+    each chunk after the first. rho is infinite until the first tile has
+    been scanned, so the first tile is step rows at full width. Then:
+    - each chunk after the first is clipped to the rows whose pr lies in
       [px[0] - rho, px[-1] + rho] (two searchsorted calls on the sorted
       pr); the rows outside are never built;
     - a tile of rows with pr in [a, b] multiplies only the columns with px
@@ -518,9 +516,8 @@ def _tiles(plan: _Plan, radius=lambda: math.inf):
     width, px, pr = plan.width, plan.px, plan.pr
     buf = _aligned_empty("tile", (min(plan.rows * width, max(plan.cap, width)),))
     start, stop = 0, plan.rows
-    size = plan.chunk if px is None else plan.step
     while start < stop:
-        outer = plan.order[start:min(start + size, stop)]
+        outer = plan.order[start:min(start + plan.chunk, stop)]
         lhs = _rows(plan, outer)
         at = 0
         while at < len(lhs):
@@ -539,7 +536,7 @@ def _tiles(plan: _Plan, radius=lambda: math.inf):
                 np.matmul(lhs[at:at + rows], plan.aug[:, lo:hi], out=tile)
                 yield outer[at:at + rows], int(lo), tile
             at += rows
-        start, size = start + len(outer), plan.chunk
+        start += len(outer)
         if px is not None:
             rho = radius()
             start = max(start, int(np.searchsorted(pr, px[0] - rho)))

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import encoder, theory
+from . import theory
 from .core import SparcParams, build_design_matrix, design_columns
 from .encoder import (
     STATUS_OK,
@@ -531,14 +531,6 @@ class BoundCheck:
     within_second_moment: bool
     within_suen: bool
 
-    @property
-    def second_moment_slack(self) -> float:
-        return self.second_moment - self.empirical_p
-
-    @property
-    def suen_slack(self) -> float:
-        return self.suen.bound - self.empirical_p
-
 
 def coverage_bounds(params: SparcParams, z2: float, n_samples: int,
                     seed: int) -> tuple:
@@ -571,10 +563,6 @@ def validate_bounds(params: SparcParams, z2: float, n_matrices: int,
     matrices and its distortions, and the estimators' reused buffers of
     _DRAW_BLOCK normals plus the pair estimator's kept rows, O(pU1
     _PAIR_CHUNK n) floats; nothing else grows with n_prob_samples."""
-    if params.n_codewords > encoder.ORACLE_CAP:
-        raise ValueError(
-            f"codebook holds {params.n_codewords} candidates > cap "
-            f"{encoder.ORACLE_CAP}")
     if n_matrices < 1:
         raise ValueError(f"need n_matrices >= 1, got {n_matrices}")
     if n_prob_samples < 1:

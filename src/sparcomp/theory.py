@@ -477,10 +477,6 @@ class SuenTerms:
     t3: float
     bound: float
 
-    @property
-    def lam2_over_Delta(self) -> float:
-        return 8.0 * self.t3
-
 
 def suen_lambda_delta_ratio(L: int, M: int) -> Fraction:
     """Exact lam/delta = M^L / (M^L - 1 - (M-1)^L); the singleton

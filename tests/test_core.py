@@ -336,6 +336,25 @@ def test_load_matrix_rejects_mismatched_params(tmp_path, small):
         load_matrix(path, other)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_design_matrix_rejects_non_finite_entries(tmp_path, small, bad):
+    # one non-finite entry is refused where the matrix is bound, directly
+    # or from a container, before the encoder or the scorer reads it
+    p, mt = small
+    entries = mt.entries.copy()
+    entries[3, 5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        core.DesignMatrix(p, entries)
+    path = tmp_path / "matrix.bin"
+    save_matrix(mt, path)
+    raw = bytearray(path.read_bytes())
+    at = 32 + 8 * (5 * p.n + 3)     # entry (3, 5) of the column-major payload
+    raw[at:at + 8] = np.array(bad, dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="non-finite"):
+        load_matrix(path, p)
+
+
 def test_load_matrix_rejects_bad_magic(tmp_path, small):
     p, _ = small
     path = tmp_path / "bogus.bin"

@@ -494,6 +494,15 @@ def test_extreme_scales_match_oracle(scale):
         assert fast.distortion == plain.distortion * scale ** 2
 
 
+def test_design_too_large_for_the_error_bound_rejected(inst):
+    # finite entries whose column norms overflow float64 leave the kernel
+    # no scale, so the search refuses them
+    p, mt = inst
+    huge = DesignMatrix(p, mt.entries * 2.0 ** 1000)
+    with pytest.raises(ValueError, match="too large"):
+        encode_min_distance(huge, np.full(p.n, 0.8))
+
+
 def _tile_hits(plan, tiles):
     """How often each candidate, by rank, is multiplied by the given tiles
     of the plan, each tile checked to be its own augmented residual rows
@@ -690,6 +699,41 @@ def test_inner_block_rows_start_a_line_apart(n, L, M):
     line = encoder._ALIGN
     assert plan.aug.ctypes.data % line == 0
     assert plan.aug.strides == (4 * plan.width + line, 4)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_sums_equal_the_gathered_sums(k):
+    # the inner block built by broadcasting is _column_sums over every rank
+    # of sections 0..k-1, transposed, bit for bit
+    p = make_params(6, 4, 5, 1.0, 0.5, seed=k)
+    entries = build_design_matrix(p).entries
+    want = encoder._column_sums(entries.T, p.M, np.arange(p.M ** k), 0, k).T
+    got = encoder._block_sums(entries, p.M, k)
+    assert got.shape == want.shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("n, L, M", [(14, 6, 16), (16, 3, 256)])
+def test_projected_plan_augments_its_block_in_perm_order(n, L, M):
+    # a projecting plan augments its inner block once, with the columns
+    # already in perm order: bit for bit the augmented block of the
+    # unsorted inner block with its columns taken in that order, starting
+    # on a cache line with padded rows
+    for seed in range(4):
+        p = make_params(n, L, M, 1.0, 0.3, rho2=2.0, seed=seed)
+        mt = build_design_matrix(p)
+        plan = encoder._Plan(mt, _scaled_source(_rng(seed), p))
+        assert plan.px is not None
+        aug, perm = plan.aug.copy(), plan.perm.copy()
+        k = next(k for k in range(1, L) if M ** k == plan.width)
+        xt = encoder._block_sums(mt.entries, M, k) * (p.c * plan.scale)
+        want = np.empty((n + 2, plan.width), dtype=np.float32)
+        np.multiply(xt, -2.0, out=want[:n])
+        want[n] = np.einsum("ij,ij->j", xt, xt)
+        want[n + 1] = 1.0
+        assert aug.tobytes() == want[:, perm].tobytes()
+        assert plan.aug.ctypes.data % encoder._ALIGN == 0
+        assert plan.aug.strides == (4 * encoder._padded(plan.width), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,6 @@ def test_suen_bound_frozen_terms(tiny_params):
     assert s.t2 == pytest.approx(float(Fraction(16, 9)) / 6.0, abs=1e-15)
     assert s.t3 == pytest.approx(0.128 ** 2 / (8 * 7.776), abs=1e-15)
     assert s.bound == pytest.approx(math.exp(-min(s.t1, s.t2, s.t3)), abs=1e-15)
-    assert s.lam2_over_Delta == pytest.approx(8.0 * s.t3, abs=1e-15)
 
 
 def test_suen_bound_t2_is_probability_free(tiny_params):
