@@ -47,8 +47,9 @@ the kernel tiles and one rescore:
    the rows by u.r (separable over the two factors, so no row is built
    to find it), each by one in-place sort of int64 keys that pack a
    projection, rounded down in its low bits, with its rank
-   (_sorted_differences), in workspace buffers; the block is augmented
-   once, in that column order. Each tile multiplies only the contiguous
+   (_sorted_differences), in workspace buffers; the augmented block,
+   built once per matrix and scale in rank order, is copied in that
+   column order, row by row. Each tile multiplies only the contiguous
    columns whose projection lies within rho of its rows', and each chunk
    after the first is clipped to the rows whose projection lies within
    rho of some column's, where rho comes from the kernel minimum so far
@@ -68,8 +69,23 @@ the kernel tiles and one rescore:
    depend on the kernel's rounding, precision, tile size or the order
    of the rows.
 
+A search plan has two parts. The per-matrix part (MatrixPlan) holds what
+every source searched against one matrix shares: the source-free term of
+Lam, the outer section sums, the inner block and its augmented block in
+rank order, the last three scaled for one scale exponent and rebuilt when
+a source brings another. The per-source part (_Plan) holds the scale and
+tol, the slow factor, both projections with their sorts, and the
+augmented block's columns in projection order. encode_min_distance takes
+a MatrixPlan in place of its matrix, so the trial loop of sim makes one
+per trial and its source models share it. Both parts live in per-thread
+workspace slots: the per-source slots are rewritten by every plan, the
+per-matrix slots only when another MatrixPlan, or another scale, needs
+them, so a MatrixPlan stays usable whatever searches ran in between.
+
 A plain oracle that scores every rank with the same scorer
-(encode_oracle) cross-validates it in tests.
+(encode_oracle) cross-validates it in tests. The search, the oracle and
+all_distortions reject a design whose error bound Lam overflows float64
+through one check (_error_bound).
 """
 
 from __future__ import annotations
@@ -77,7 +93,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -85,6 +101,7 @@ from .core import BetaVector, DesignMatrix, SparcParams, beta_unrank, synthesize
 
 __all__ = [
     "EncodeResult",
+    "MatrixPlan",
     "SEARCH_CAP",
     "ORACLE_CAP",
     "encode_min_distance",
@@ -160,8 +177,7 @@ def _check_source(params: SparcParams, source) -> np.ndarray:
     return source
 
 
-def _gate(matrix: DesignMatrix, source: np.ndarray) -> Optional[EncodeResult]:
-    p = matrix.params
+def _gate(p: SparcParams, source: np.ndarray) -> Optional[EncodeResult]:
     z2 = sample_power(source)
     if z2 >= p.rho2:
         return EncodeResult(STATUS_VARIANCE_OVERFLOW, None, None)
@@ -171,10 +187,14 @@ def _gate(matrix: DesignMatrix, source: np.ndarray) -> Optional[EncodeResult]:
 
 
 class _Workspace(threading.local):
-    """The calling thread's search buffers: one byte buffer per slot name."""
+    """The calling thread's search buffers: one byte buffer per slot name;
+    the ranks 0, 1, 2, ... (_ranks); and which MatrixPlan, at which scale,
+    the per-matrix slots hold, with their arrays (MatrixPlan.scaled)."""
 
     def __init__(self):
         self.slots = {}
+        self.ranks = np.arange(0)
+        self.held = None
 
 
 _WORKSPACE = _Workspace()
@@ -194,6 +214,17 @@ def _aligned_empty(slot: str, shape: Tuple[int, ...],
         raw = np.empty(size + _ALIGN, dtype=np.uint8)
         buf = _WORKSPACE.slots[slot] = raw[-raw.ctypes.data % _ALIGN:]
     return buf[:size].view(dtype).reshape(shape)
+
+
+def _ranks(count: int) -> np.ndarray:
+    """np.arange(count) as int64, a read-only view of the calling thread's
+    rank buffer, which holds 0, 1, 2, ... and, like a slot, grows to the
+    largest count asked for so far and is kept, so no search fills one."""
+    ranks = _WORKSPACE.ranks
+    if len(ranks) < count:
+        ranks = _WORKSPACE.ranks = np.arange(count, dtype=np.int64)
+        ranks.setflags(write=False)
+    return ranks[:count]
 
 
 def _column_sums(columns: np.ndarray, M: int, ranks: np.ndarray,
@@ -233,7 +264,9 @@ def _block_sums(entries: np.ndarray, M: int, k: int) -> np.ndarray:
     the same columns are added in the same section order. Broadcasting
     one section at a time instead of gathering leaves the result as the
     only block-sized array, written once and contiguous into the slot
-    "inner" (_aligned_empty); the partial sums alternate with it."""
+    "inner" (_aligned_empty); the partial sums alternate with it. Both are
+    per-matrix slots (MatrixPlan.scaled), which then hold no plan's arrays."""
+    _WORKSPACE.held = None
     n = entries.shape[0]
     if k == 1:
         total = _aligned_empty("inner", (n, M), np.float64)
@@ -278,13 +311,37 @@ def _exact_sq(params: SparcParams, columns: np.ndarray, source: np.ndarray,
     return out
 
 
-def _kernel_tol(matrix: DesignMatrix, source: np.ndarray) -> Tuple[float, float]:
+def _codeword_reach(params: SparcParams, columns: np.ndarray):
+    """c sum_l max_j ||a_lj||, the source-free part of the codeword error
+    bound (_error_bound), for each design of columns (..., M*L, n)."""
+    norms = np.sqrt(np.einsum("...ji,...ji->...j", columns, columns))
+    norms = norms.reshape(norms.shape[:-1] + (params.L, params.M))
+    return params.c * norms.max(axis=-1).sum(axis=-1)
+
+
+def _error_bound(reach, source: np.ndarray):
+    """Lam = ||s|| + reach, which bounds the norm of every codeword error
+    s - c sum_l a_l (Cauchy-Schwarz bounds every dot product by norms),
+    for the reach of one design or of each of a stack (_codeword_reach).
+    The one check behind the search, the oracle and all_distortions: a
+    finite design whose Lam overflows float64 is rejected, since its
+    errors can overflow in the scorer and leave the kernel no scale."""
+    lam = math.sqrt(float(source @ source)) + reach
+    if not np.isfinite(lam).all():
+        # DesignMatrix holds only finite entries, but their norms can overflow
+        raise ValueError("design matrix entries too large: the codeword "
+                         "error bound overflows float64")
+    return lam
+
+
+def _kernel_tol(part: MatrixPlan, source: np.ndarray) -> Tuple[float, float]:
     """Power-of-two scale for the kernel's inputs, and a uniform bound on
-    |kernel value - scale^2 _exact_sq| over all codewords, in scaled units.
+    |kernel value - scale^2 _exact_sq| over all codewords, in scaled units,
+    for a source searched against part's design.
 
     Every codeword error s - c sum_l a_l has norm at most
-    Lam = ||s|| + c sum_l max_j ||a_lj|| (Cauchy-Schwarz bounds every dot
-    product by norms). The scale is the power of two 2^-e with
+    Lam = ||s|| + c sum_l max_j ||a_lj|| (_error_bound, with the second
+    term kept by the part as its reach). The scale is the power of two 2^-e with
     Lam = m 2^e, m in [1/2, 1), so the scaled Lam' = m: multiplying by it
     is exact in float64 (bar float64 underflow, whose error is far below
     tau below), and every scaled quantity the kernel forms (the
@@ -315,15 +372,8 @@ def _kernel_tol(matrix: DesignMatrix, source: np.ndarray) -> Tuple[float, float]
     product, n multiplications and n + 1 additions: (6n + 5) tau. The
     returned bound is four times the sum, which covers the higher-order
     terms and the rounding of Lam and of the rescore limit."""
-    p = matrix.params
-    col_norms = np.sqrt(np.einsum("ij,ij->j", matrix.entries, matrix.entries))
-    lam = math.sqrt(float(source @ source)) \
-        + p.c * float(col_norms.reshape(p.L, p.M).max(axis=1).sum())
-    if not math.isfinite(lam):
-        # DesignMatrix holds only finite entries, but their norms can overflow
-        raise ValueError("design matrix entries too large: the codeword "
-                         "error bound overflows float64")
-    mant, exp = math.frexp(lam)
+    p = part.params
+    mant, exp = math.frexp(_error_bound(part.reach, source))
     u, tau = 2.0 ** -24, 2.0 ** -126
     tol = 4.0 * ((7 * p.n + 4 * p.L + 21) * u * mant * mant
                  + (6 * p.n + 5) * tau)
@@ -366,7 +416,8 @@ def _sorted_differences(a: np.ndarray, b: np.ndarray,
     difference is written into the key slot and mapped to an int64 in the
     same order (the magnitude bits of negative values flipped); its low
     bits = (rows - 1).bit_length() bits are cleared and the rank is added
-    into them. After the sort, order is the low bits, and values are the
+    into them, which for the flat key is one add of the ranks 0, 1, 2, ...
+    (_ranks). After the sort, order is the low bits, and values are the
     high bits mapped back to float64, in place. A value is therefore the
     difference with the low bits of its float64 bit pattern cleared
     towards -inf: it never exceeds the difference, by less than
@@ -383,8 +434,7 @@ def _sorted_differences(a: np.ndarray, b: np.ndarray,
     order &= _MAGNITUDE
     key ^= order
     key &= ~low
-    grid += np.arange(0, rows, len(b))[:, None]
-    grid += np.arange(len(b))
+    key += _ranks(rows)
     key.sort()
     np.bitwise_and(key, low, out=order)
     key &= ~low
@@ -393,16 +443,99 @@ def _sorted_differences(a: np.ndarray, b: np.ndarray,
     return order, key.view(np.float64)
 
 
-class _Plan:
-    """One search's float32 kernel inputs, scaled by the power of two from
-    _kernel_tol.
+class MatrixPlan:
+    """The per-matrix part of a search plan: everything a search shares
+    with every other search against the same design matrix.
+    encode_min_distance takes it in place of the matrix, so the sources of
+    one matrix share it: the source models of one trial of
+    sim.robustness_suite, or every trial of a fixed-matrix run.
 
-    The first k sections form the inner block of M^k column sums x, the
-    rest the outer ranks, rank = outer * width + inner. The outer section
-    sums are kept as two factors: fast, over sections k..L-2 (or none),
-    and slow, over the last section, so outer rank j * len(fast) + i has
-    the residual row r = (s - c slow[j]) - c fast[i]. The plan stores
-    those two scaled terms, and _rows builds the rows from them.
+    Made from the matrix alone, it holds the plan's shape and the reach
+    c sum_l max_j ||a_lj|| of the codeword error bound (_kernel_tol). The
+    first k sections form the inner block of M^k column sums x, the rest
+    the outer ranks, rank = outer * width + inner. The outer section sums
+    are kept as two factors: fast, over sections k..L-2 (or none), and the
+    sums over the last section, from which each source forms its slow
+    factor (_Plan). The rows = len(fast) * len(slow) outer ranks are cut
+    into tiles of at most cap kernel values, step rows of the whole inner
+    block, and built chunk rows at a time; the plan projects (_Plan) when
+    its rows fill at least _PRUNE_TILES full-width tiles.
+
+    Its arrays depend on the source only through the kernel's scale, a
+    power of two (_kernel_tol), and scaled(scale) gives them. They live in
+    the calling thread's per-matrix workspace slots, which only scaled
+    writes (and _block_sums, which it calls), and stay there for that one
+    scale: a source with another scale, or a search against another
+    MatrixPlan in between, rebuilds them, with the same values, since they
+    depend only on the matrix and the scale. So a MatrixPlan stays valid
+    in any thread, for any number of searches, whatever ran in between;
+    the arrays scaled returns are valid until the next plan in the same
+    thread, like the rest of a plan."""
+
+    def __init__(self, matrix: DesignMatrix):
+        p = self.params = matrix.params
+        self.matrix = matrix
+        self.reach = _codeword_reach(p, matrix.entries.T)
+        k = 1
+        while k + 1 < p.L and p.M ** (k + 1) <= _INNER_COLS:
+            k += 1
+        self.k, self.width, self.h = k, p.M ** k, max(k, p.L - 1)
+        self.rows = p.M ** (p.L - k)
+        # kernel values per tile, within _TILE_BYTES of float32 and
+        # _TILE_MACS multiply-adds (step rows of the whole inner block), and
+        # residual rows per chunk built at once, within _CHUNK_BYTES of float64
+        self.cap = min(_TILE_BYTES // 4, _TILE_MACS // (p.n + 2))
+        self.step = max(1, self.cap // self.width)
+        self.chunk = max(1, _CHUNK_BYTES // (8 * p.n))
+        self.projects = self.rows >= _PRUNE_TILES * self.step
+
+    def scaled(self, scale: float) -> Tuple[np.ndarray, ...]:
+        """(fast, sums, xt, aug) for the kernel scale: the fast factor and
+        the last section's sums, one row per rank (so each residual row is
+        contiguous), and the inner block xt, (n, width), each times
+        c * scale in float64; and the float32 augmented block aug, -2c x
+        above c^2 |x|^2 and ones, so that the row [r, 1, |r|^2] times it
+        gives |r|^2 - 2c r.x + c^2 |x|^2: a view of the first width columns
+        of a padded block (_padded). All four are in rank order, in the
+        per-matrix slots "fast", "sums", "inner" and "aug_ranked"
+        (_aligned_empty; "inner_part" is scratch of _block_sums)."""
+        held = _WORKSPACE.held
+        if held is not None and held[0] is self and held[1] == scale:
+            return held[2]
+        p = self.params
+        n, L, M, k, h = p.n, p.L, p.M, self.k, self.h
+        cs = p.c * scale
+        columns = self.matrix.entries.T
+        xt = _block_sums(self.matrix.entries, M, k)
+        xt *= cs
+        fast = _column_sums(columns, M, _ranks(M ** (h - k)), k, h)
+        fast = np.multiply(fast, cs, out=_aligned_empty("fast", fast.shape,
+                                                        np.float64))
+        sums = _column_sums(columns, M, _ranks(M ** (L - h)), h, L)
+        sums = np.multiply(sums, cs, out=_aligned_empty("sums", sums.shape,
+                                                        np.float64))
+        aug = _aligned_empty("aug_ranked", (n + 2, _padded(self.width)))
+        aug = aug[:, :self.width]
+        np.multiply(xt, -2.0, out=aug[:n])
+        aug[n] = np.einsum("ij,ij->j", xt, xt)
+        aug[n + 1] = 1.0
+        _WORKSPACE.held = (self, scale, (fast, sums, xt, aug))
+        return fast, sums, xt, aug
+
+
+class _Plan:
+    """One search's float32 kernel inputs: the per-source part of a search
+    plan, over the per-matrix part of its matrix (MatrixPlan, made afresh
+    when the search is given a DesignMatrix), scaled by the power of two
+    from _kernel_tol (scale, with the rounding bound tol).
+
+    fast is the part's; slow[j] = s - c (sums over the last section)[j],
+    so outer rank j * len(fast) + i has the residual row
+    r = slow[j] - c fast[i], all scaled. _rows builds the rows from them.
+    The part keeps its scaled arrays for one scale exponent and rebuilds
+    them when a source brings another (MatrixPlan.scaled), so every array
+    of a plan is the one a fresh part gives, bit for bit, and _kernel_tol's
+    bound holds unchanged.
 
     order lists the outer ranks in the order _tiles takes them. A plan
     whose rows fill at least _PRUNE_TILES full-width tiles projects onto
@@ -413,64 +546,45 @@ class _Plan:
     _sorted_differences (the columns as a one-column grid, b = [0]), so
     px and pr, kept in those orders, are the computed projections with
     the low bits of their keys cleared: each lies at or below its
-    projection, within the key rounding that _search_min allows for. A
-    smaller plan keeps both in rank order (perm and order are the
-    identity), and px and pr are None. The one augmented block aug is
-    built from the inner block with its columns taken in perm order.
+    projection, within the key rounding that _search_min allows for. Its
+    augmented block aug is the part's, with the columns taken in perm
+    order. A smaller plan keeps both in rank order (perm and order are
+    the identity, _ranks), px and pr are None, and aug is the part's.
 
-    order, pr, perm and px, the inner and augmented blocks and the buffers
-    of _tiles are views of the thread's workspace (_aligned_empty), and
-    the next search reuses them: a plan's arrays are valid until the next
-    plan is built in the same thread."""
+    slow, order, pr, perm and px, the augmented block and the buffers of
+    _tiles are views of the thread's workspace (_aligned_empty), and the
+    next search reuses them; the part's arrays are too (MatrixPlan). So a
+    plan's arrays are valid until the next plan is built in the same
+    thread."""
 
-    def __init__(self, matrix: DesignMatrix, source: np.ndarray):
-        p = matrix.params
-        n, L, M = p.n, p.L, p.M
-        self.scale, self.tol = _kernel_tol(matrix, source)
-        cs = p.c * self.scale
-        k = 1
-        while k + 1 < L and M ** (k + 1) <= _INNER_COLS:
-            k += 1
-        self.width = M ** k
-        h = max(k, L - 1)
-        columns = matrix.entries.T
-        # one row per rank, so each residual row is contiguous
-        self.fast = _column_sums(columns, M, np.arange(M ** (h - k)), k, h) * cs
-        self.slow = source * self.scale \
-            - _column_sums(columns, M, np.arange(M ** (L - h)), h, L) * cs
-        self.rows = len(self.fast) * len(self.slow)
-        # kernel values per tile, within _TILE_BYTES of float32 and
-        # _TILE_MACS multiply-adds (step rows of the whole inner block), and
-        # residual rows per chunk built at once, within _CHUNK_BYTES of float64
-        self.cap = min(_TILE_BYTES // 4, _TILE_MACS // (n + 2))
-        self.step = max(1, self.cap // self.width)
-        self.chunk = max(1, _CHUNK_BYTES // (8 * n))
-        xt = _block_sums(matrix.entries, M, k)
-        xt *= cs
-        if self.rows < _PRUNE_TILES * self.step:
-            self.perm = np.arange(self.width)
-            self.order = np.arange(self.rows)
+    def __init__(self, matrix: Union[DesignMatrix, MatrixPlan],
+                 source: np.ndarray):
+        part = matrix if isinstance(matrix, MatrixPlan) else MatrixPlan(matrix)
+        self.part = part
+        self.width, self.rows = part.width, part.rows
+        self.cap, self.step, self.chunk = part.cap, part.step, part.chunk
+        self.scale, self.tol = _kernel_tol(part, source)
+        self.fast, sums, xt, aug = part.scaled(self.scale)
+        self.slow = np.subtract(source * self.scale, sums,
+                                out=_aligned_empty("slow", sums.shape, np.float64))
+        if not part.projects:
+            self.perm, self.order = _ranks(self.width), _ranks(self.rows)
             self.px = self.pr = None
-        else:
-            u = _unit(source)
-            # einsum, not a BLAS product: no BLAS thread wakes per search
-            self.perm, self.px = _sorted_differences(
-                np.einsum("i,ij->j", u, xt), np.zeros(1), "cols")
-            # _block_sums leaves "inner_part" free; mode "clip" (a no-op for
-            # these indices) writes straight into it, where the default mode
-            # would buffer a block-sized copy
-            xt = np.take(xt, self.perm, axis=1, mode="clip",
-                         out=_aligned_empty("inner_part", xt.shape, np.float64))
-            self.order, self.pr = _sorted_differences(
-                self.slow @ u, self.fast @ u, "rows")
-        # augmented inner block: -2c x above c^2 |x|^2 and ones, so that
-        # the row [r, 1, |r|^2] times it gives |r|^2 - 2c r.x + c^2 |x|^2;
-        # a view of the first width columns of a padded block (_padded)
-        block = _aligned_empty("aug", (n + 2, _padded(self.width)))
-        self.aug = block[:, :self.width]
-        np.multiply(xt, -2.0, out=self.aug[:n])
-        self.aug[n] = np.einsum("ij,ij->j", xt, xt)
-        self.aug[n + 1] = 1.0
+            self.aug = aug
+            return
+        u = _unit(source)
+        # einsum, not a BLAS product: no BLAS thread wakes per search
+        self.perm, self.px = _sorted_differences(
+            np.einsum("i,ij->j", u, xt), np.zeros(1), "cols")
+        self.order, self.pr = _sorted_differences(
+            self.slow @ u, self.fast @ u, "rows")
+        # row by row, so mode "clip" (a no-op for these indices) lets np.take
+        # write straight into the row; a take along axis 1 would buffer the
+        # whole block
+        self.aug = _aligned_empty("aug", (len(aug), _padded(self.width)))
+        self.aug = self.aug[:, :self.width]
+        for row, out in zip(aug, self.aug):
+            np.take(row, self.perm, mode="clip", out=out)
 
 
 def _rows(plan: _Plan, outer: np.ndarray) -> np.ndarray:
@@ -555,9 +669,11 @@ def _rescored(params: SparcParams, columns: np.ndarray, source: np.ndarray,
     return min(best, (float(scores[at]), int(ranks[at])))
 
 
-def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
+def _search_min(matrix: Union[DesignMatrix, MatrixPlan],
+                source: np.ndarray) -> Tuple[int, float]:
     """Rank of the distance-minimizing codeword (smallest rank on ties)
-    and its exact squared distance _exact_sq (unnormalized).
+    and its exact squared distance _exact_sq (unnormalized), for a design
+    matrix or its MatrixPlan.
 
     One pass over the kernel tiles keeps limit = low + 2 tol, where low is
     the running kernel minimum over the candidates multiplied so far. A
@@ -608,12 +724,13 @@ def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
     when its tile was scanned and was never dropped. Comparing
     (score, rank) then gives the smallest rank among the exact minima,
     whatever order the tiles came in. Memory stays bounded by one tile,
-    at most two tiles' worth of pending candidates and the plan's two
+    at most two tiles' worth of pending candidates, the plan's two
     O(rows) workspace slots, which hold the order of the outer ranks and
-    their sorted pr and are reused by the next search in the thread."""
+    their sorted pr, and the thread's O(rows) rank buffer (_ranks), all
+    reused by the next search in the thread."""
     plan = _Plan(matrix, source)
-    p = matrix.params
-    columns = matrix.entries.T
+    p = plan.part.params
+    columns = plan.part.matrix.entries.T
     eps = 2.0 ** -24
     best, pending, held = (math.inf, -1), [], 0
     limit = rho = math.inf
@@ -641,18 +758,21 @@ def _search_min(matrix: DesignMatrix, source: np.ndarray) -> Tuple[int, float]:
     return rank, score
 
 
-def encode_min_distance(matrix: DesignMatrix, source) -> EncodeResult:
+def encode_min_distance(matrix: Union[DesignMatrix, MatrixPlan],
+                        source) -> EncodeResult:
     """Encode one source block: gates first, then the exhaustive search.
 
-    The reported distortion is the exact scorer's value at the argmin,
-    so kernel rounding cannot leak into the result.
+    matrix is the design matrix, or a MatrixPlan of it, which every
+    search given that MatrixPlan shares (the result is the same). The
+    reported distortion is the exact scorer's value at the argmin, so
+    kernel rounding cannot leak into the result.
     """
     source = _check_source(matrix.params, source)
     p = matrix.params
     if p.n_codewords > SEARCH_CAP:
         raise ValueError(
             f"codebook holds {p.n_codewords} candidates > search cap {SEARCH_CAP}")
-    gated = _gate(matrix, source)
+    gated = _gate(p, source)
     if gated is not None:
         return gated
     rank, sq = _search_min(matrix, source)
@@ -667,9 +787,10 @@ def encode_oracle(matrix: DesignMatrix, source) -> EncodeResult:
     if p.n_codewords > ORACLE_CAP:
         raise ValueError(
             f"codebook holds {p.n_codewords} candidates > oracle cap {ORACLE_CAP}")
-    gated = _gate(matrix, source)
+    gated = _gate(p, source)
     if gated is not None:
         return gated
+    _error_bound(_codeword_reach(p, matrix.entries.T), source)
     scores = _exact_sq(p, matrix.entries.T, source, np.arange(p.n_codewords))
     rank = int(np.argmin(scores))
     return EncodeResult(STATUS_OK, beta_unrank(rank, p.L, p.M),
@@ -680,9 +801,12 @@ def all_distortions(params: SparcParams, columns: np.ndarray,
                     source) -> np.ndarray:
     """Per-sample squared distance from source to every codeword of each
     design in columns, (..., M*L, n) as _exact_sq takes them: the result
-    is (..., M^L), indexed by rank, and equals _exact_sq / n bit for bit."""
+    is (..., M^L), indexed by rank, and equals _exact_sq / n bit for bit.
+    Like the search, it rejects a design whose error bound overflows
+    (_error_bound)."""
     source = _check_source(params, source)
     count = params.n_codewords
     if count > ORACLE_CAP:
         raise ValueError(f"codebook holds {count} candidates > cap {ORACLE_CAP}")
+    _error_bound(_codeword_reach(params, columns), source)
     return _exact_sq(params, columns, source, np.arange(count)) / params.n

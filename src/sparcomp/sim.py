@@ -23,6 +23,7 @@ from .encoder import (
     STATUS_OK,
     STATUS_TRIVIAL_ZERO,
     STATUS_VARIANCE_OVERFLOW,
+    MatrixPlan,
     all_distortions,
     encode_min_distance,
     sample_power,
@@ -311,8 +312,27 @@ def run_experiment(params: SparcParams, model: SourceModel, n_trials: int,
     fresh_matrix=True redraws the dictionary each trial (ensemble
     average); False reuses the single matrix seeded by params.seed
     (codebook-specific study). An error is any trial whose status is
-    variance_overflow or whose distortion exceeds D.
+    variance_overflow or whose distortion exceeds D. It runs the trial
+    loop that robustness_suite shares (_run_trials), trial-major: each
+    trial's matrix and source seed are made once, and the source is
+    encoded against the matrix's MatrixPlan (one for the whole run with a
+    fixed matrix).
     """
+    return _run_trials(params, [model], n_trials, seed, fresh_matrix)[0]
+
+
+def _run_trials(params: SparcParams, models: Sequence[SourceModel],
+                n_trials: int, seed: Optional[int],
+                fresh_matrix: bool) -> List[ExperimentReport]:
+    """One ExperimentReport per model, the same as a run of that model
+    alone: the one trial loop behind run_experiment and robustness_suite.
+
+    It runs trial-major: each trial's design matrix (or the fixed one) and
+    source seed are made once, and every model's source is drawn from that
+    seed and encoded against the matrix through one MatrixPlan, which the
+    searches of the trial (of the whole run, with a fixed matrix) share.
+    Every random object depends only on (seed, stream, trial), so the
+    order changes no record."""
     if n_trials < 1:
         raise ValueError(f"need n_trials >= 1, got {n_trials}")
     if seed is None:
@@ -320,27 +340,35 @@ def run_experiment(params: SparcParams, model: SourceModel, n_trials: int,
     if fresh_matrix:
         matrix_seeds = _derive_seeds(seed, MATRIX_STREAM, range(n_trials))
     else:
-        fixed = build_design_matrix(params)
+        plan = MatrixPlan(build_design_matrix(params))
 
-    records: List[TrialRecord] = []
-    status_counts = {STATUS_OK: 0, STATUS_VARIANCE_OVERFLOW: 0, STATUS_TRIVIAL_ZERO: 0}
+    records: List[List[TrialRecord]] = [[] for _ in models]
     for trial in range(n_trials):
-        source = draw_source(model, params.n, _seed_seq(seed, SOURCE_STREAM, trial))
+        trial_seed = _seed_seq(seed, SOURCE_STREAM, trial)
         if fresh_matrix:
-            matrix = build_design_matrix(
-                replace(params, seed=int(matrix_seeds[trial])))
-        else:
-            matrix = fixed
-        result = encode_min_distance(matrix, source)
-        success = (result.status != STATUS_VARIANCE_OVERFLOW
-                   and result.distortion is not None
-                   and result.distortion <= params.D)
-        status_counts[result.status] += 1
-        records.append(TrialRecord(
-            trial=trial, source_kind=model.label,
-            z2=sample_power(source), status=result.status,
-            distortion=result.distortion, success=success))
+            plan = MatrixPlan(build_design_matrix(
+                replace(params, seed=int(matrix_seeds[trial]))))
+        for model, kept in zip(models, records):
+            source = draw_source(model, params.n, trial_seed)
+            result = encode_min_distance(plan, source)
+            success = (result.status != STATUS_VARIANCE_OVERFLOW
+                       and result.distortion is not None
+                       and result.distortion <= params.D)
+            kept.append(TrialRecord(
+                trial=trial, source_kind=model.label,
+                z2=sample_power(source), status=result.status,
+                distortion=result.distortion, success=success))
+    return [_report(params, model, seed, fresh_matrix, kept)
+            for model, kept in zip(models, records)]
 
+
+def _report(params: SparcParams, model: SourceModel, seed: int,
+            fresh_matrix: bool, records: List[TrialRecord]) -> ExperimentReport:
+    """The ExperimentReport of one model's trial records."""
+    n_trials = len(records)
+    status_counts = {STATUS_OK: 0, STATUS_VARIANCE_OVERFLOW: 0, STATUS_TRIVIAL_ZERO: 0}
+    for r in records:
+        status_counts[r.status] += 1
     n_success = sum(r.success for r in records)
     n_err = n_trials - n_success
     dists = np.array([r.distortion for r in records if r.distortion is not None])
@@ -619,7 +647,12 @@ def robustness_suite(params: SparcParams, models: Sequence[SourceModel],
                      seed: Optional[int] = None) -> RobustnessResult:
     """Run the same experiment (same seeds, hence same matrices) for each
     source model and compare conditional success rates given
-    |s|^2 <= sigma2 against the first model, with a joint 3-SE band."""
+    |s|^2 <= sigma2 against the first model, with a joint 3-SE band.
+
+    Each model's report is the one run_experiment gives it, but the trials
+    run trial-major (_run_trials): each trial's matrix and source seed are
+    made once, and every model's source is encoded against that matrix
+    through one shared MatrixPlan."""
     if not models:
         raise ValueError("need at least one source model")
     labels = [m.label for m in models]
@@ -630,15 +663,11 @@ def robustness_suite(params: SparcParams, models: Sequence[SourceModel],
             raise ValueError(
                 f"model {model.label} has variance {model.sigma2} > "
                 f"codebook design variance {params.sigma2}")
-    if seed is None:
-        seed = params.seed
 
-    reports: Dict[str, ExperimentReport] = {}
+    reports = dict(zip(labels, _run_trials(params, models, n_trials, seed,
+                                           fresh_matrix=True)))
     conditional: Dict[str, ConditionalRate] = {}
-    for model in models:
-        report = run_experiment(params, model, n_trials, seed=seed)
-        key = model.label
-        reports[key] = report
+    for key, report in reports.items():
         cond = [r for r in report.trials if r.z2 <= params.sigma2]
         k = sum(r.success for r in cond)
         m = len(cond)

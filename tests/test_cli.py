@@ -459,6 +459,10 @@ GOLDEN_RUNS = {
                          "--D", "0.3", "--trials", "5"],
     "simulate_16_3_256": ["simulate", "--n", "16", "--L", "3", "--M", "256",
                           "--D", "0.278193", "--rho2", "2.0", "--trials", "3"],
+    # every plan at this shape projects, and each trial's four sources
+    # share one matrix
+    "robustness_14_6_16": ["robustness", "--n", "14", "--L", "6", "--M", "16",
+                           "--D", "0.3", "--trials", "5"],
 }
 GOLDEN_DIGESTS = {
     "curve_bits/out":
@@ -499,6 +503,16 @@ GOLDEN_DIGESTS = {
         "f62e3957e1128ec7c9b79a3f2214d44578a31b078e58d14bdc510c7de1d39ec1",
     "simulate_16_3_256/out":
         "7430e9eaf9c2bd8d88418de3d3c2a8e873e932cc1c621fadfd5894eddef052ed",
+    "robustness_14_6_16/log.gauss_markov_0.csv":
+        "248cc7d6495c1f24901ae06ff1adf1552b4ea4159b4176d01a69e01ba51ee75f",
+    "robustness_14_6_16/log.gaussian_iid.csv":
+        "5dfaaf77a37090e2d0d11a858a5e44c919638a2bdb06f11802e695e472aa679c",
+    "robustness_14_6_16/log.laplace_iid.csv":
+        "8d186d9519f50900296879fe04d5be1a7c4d8f5c72542cd4485cac9dc2de8047",
+    "robustness_14_6_16/log.uniform_iid.csv":
+        "4c943d686bb7746f58acb673d4e6ff678c29234b1e1c25ebfa3f2079f9196ada",
+    "robustness_14_6_16/out":
+        "d9360028c66a0f5259e41ffa1c5257ec6393e57ba0e4fe86422817e998ca3525",
 }
 
 

@@ -416,7 +416,7 @@ def test_all_ties_build_each_residual_row_once(monkeypatch):
 
 
 def _unscaled_tol(matrix, source):
-    scale, tol = encoder._kernel_tol(matrix, source)
+    scale, tol = encoder._kernel_tol(encoder.MatrixPlan(matrix), source)
     return tol / scale ** 2
 
 
@@ -496,11 +496,18 @@ def test_extreme_scales_match_oracle(scale):
 
 def test_design_too_large_for_the_error_bound_rejected(inst):
     # finite entries whose column norms overflow float64 leave the kernel
-    # no scale, so the search refuses them
+    # no scale and would overflow the scorer's errors, so the search, the
+    # oracle and all_distortions (one design, or one of a stack) refuse
+    # them with the same error
     p, mt = inst
     huge = DesignMatrix(p, mt.entries * 2.0 ** 1000)
-    with pytest.raises(ValueError, match="too large"):
-        encode_min_distance(huge, np.full(p.n, 0.8))
+    source = np.full(p.n, 0.8)
+    for encode in (encode_min_distance, encode_oracle):
+        with pytest.raises(ValueError, match="error bound overflows"):
+            encode(huge, source)
+    for columns in (huge.entries.T, np.stack([mt.entries.T, huge.entries.T])):
+        with pytest.raises(ValueError, match="error bound overflows"):
+            all_distortions(p, columns, source)
 
 
 def _tile_hits(plan, tiles):
@@ -611,33 +618,44 @@ def test_workspace_slots_grow_and_are_reused():
 
 _STEADY_SEARCHES = """
 import json, resource, sys
+from dataclasses import replace
 import numpy as np
 from sparcomp.core import build_design_matrix, make_params
-from sparcomp.encoder import encode_min_distance, sample_power
-n, L, M, D, rho2, count = json.loads(sys.argv[1])
+from sparcomp.encoder import MatrixPlan, encode_min_distance, sample_power
+n, L, M, D, rho2, count, per_trial = json.loads(sys.argv[1])
 p = make_params(n, L, M, 1.0, D, rho2=rho2, seed=7)
-mt = build_design_matrix(p)
+warm = per_trial or 1
 sources = [s * (0.9 / sample_power(s)) ** 0.5
-           for s in np.random.default_rng(7).normal(size=(count + 1, p.n))]
-statuses = [encode_min_distance(mt, sources[0]).status]
+           for s in np.random.default_rng(7).normal(size=((count + 1) * warm, p.n))]
+if per_trial:
+    plans = [MatrixPlan(build_design_matrix(replace(p, seed=7 + t)))
+             for t in range(count + 1)]
+    schedule = [(plans[i // per_trial], s) for i, s in enumerate(sources)]
+else:
+    schedule = [(build_design_matrix(p), s) for s in sources]
+statuses = [encode_min_distance(m, s).status for m, s in schedule[:warm]]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-statuses += [encode_min_distance(mt, s).status for s in sources[1:]]
+statuses += [encode_min_distance(m, s).status for m, s in schedule[warm:]]
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(json.dumps([faults, statuses, [m for m in sys.modules if m.startswith("scipy")]]))
 """
 
 
-def _steady_search_faults(env, n, L, M, D, rho2, count):
-    """Minor page faults of count searches at one shape after a warm one,
-    in a fresh interpreter that imports no scipy, so glibc's mmap threshold
+def _steady_search_faults(env, n, L, M, D, rho2, count, per_trial=None):
+    """Minor page faults of searches at one shape after warm ones, in a
+    fresh interpreter that imports no scipy, so glibc's mmap threshold
     starts at 128 KiB and every freed block above it would be unmapped and
-    faulted back in."""
+    faulted back in. Without per_trial: count searches of one matrix after
+    one warm search, each given the DesignMatrix. With it, trial-major:
+    count trials after one warm trial, each a new matrix whose MatrixPlan
+    per_trial sources share."""
     res = subprocess.run([sys.executable, "-c", _STEADY_SEARCHES,
-                          json.dumps([n, L, M, D, rho2, count])],
+                          json.dumps([n, L, M, D, rho2, count, per_trial])],
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     faults, statuses, scipy_modules = json.loads(res.stdout)
-    assert scipy_modules == [] and statuses == [STATUS_OK] * (count + 1)
+    searches = (count + 1) * (per_trial or 1)
+    assert scipy_modules == [] and statuses == [STATUS_OK] * searches
     return faults
 
 
@@ -645,6 +663,13 @@ def test_searches_fault_in_no_new_memory(child_env):
     # after one warm 14-6-16 search, 40 more fault in fewer than 5 pages
     # each: the large buffers stay in the thread's workspace
     assert _steady_search_faults(child_env, 14, 6, 16, 0.3, None, 40) < 5 * 40
+
+
+def test_trial_major_searches_fault_in_no_new_memory(child_env):
+    # after one warm trial, 10 trials of a new 14-6-16 matrix whose
+    # MatrixPlan four sources share fault in fewer than 5 pages per search:
+    # each new matrix rebuilds its arrays in the same per-matrix slots
+    assert _steady_search_faults(child_env, 14, 6, 16, 0.3, None, 10, 4) < 5 * 40
 
 
 def test_projected_rows_fault_in_no_new_memory(child_env):
@@ -657,9 +682,11 @@ def test_projected_rows_fault_in_no_new_memory(child_env):
 def test_concurrent_searches_keep_their_own_buffers(monkeypatch):
     # two threads search different 14-6-16 sources at the same time, each
     # in its own workspace, and both find the oracle's codeword and
-    # distortion every time
+    # distortion every time, given the matrix or, every other search, one
+    # MatrixPlan that both threads share
     p = make_params(14, 6, 16, 1.0, 0.3, seed=7)
     mt = build_design_matrix(p)
+    shared = encoder.MatrixPlan(mt)
     sources = [_in_gate(p, draw_source(SourceModel("gaussian_iid", 1.0), p.n, t))
                for t in (1, 2)]
     monkeypatch.setattr(encoder, "ORACLE_CAP", p.n_codewords)
@@ -670,8 +697,8 @@ def test_concurrent_searches_keep_their_own_buffers(monkeypatch):
 
     def search(t):
         start.wait()
-        for _ in range(20):
-            got[t].append(encode_min_distance(mt, sources[t]))
+        for i in range(20):
+            got[t].append(encode_min_distance(shared if i % 2 else mt, sources[t]))
 
     threads = [threading.Thread(target=search, args=(t,)) for t in (0, 1)]
     interval = sys.getswitchinterval()
@@ -734,6 +761,62 @@ def test_projected_plan_augments_its_block_in_perm_order(n, L, M):
         assert aug.tobytes() == want[:, perm].tobytes()
         assert plan.aug.ctypes.data % encoder._ALIGN == 0
         assert plan.aug.strides == (4 * encoder._padded(plan.width), 4)
+
+
+_PLAN_ARRAYS = ("fast", "slow", "perm", "px", "order", "pr", "aug")
+
+
+def _plan_arrays(plan):
+    """The plan's scale and tol, and copies of its arrays (workspace views
+    that the next plan overwrites)."""
+    arrays = {name: getattr(plan, name) for name in _PLAN_ARRAYS}
+    return {"scale": plan.scale, "tol": plan.tol,
+            **{name: None if a is None else a.copy() for name, a in arrays.items()}}
+
+
+def _same_plan_arrays(got, want):
+    assert got.keys() == want.keys()
+    for name, a in want.items():
+        if isinstance(a, np.ndarray):
+            b = got[name]
+            assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), name
+        else:
+            assert got[name] == a, name
+
+
+@pytest.mark.parametrize("n, L, M", [(14, 6, 16), (16, 3, 256)])
+def test_reused_matrix_plan_gives_a_fresh_plans_arrays(monkeypatch, n, L, M):
+    # one MatrixPlan searched by the four model sources of a trial, then by
+    # a source whose kernel scale is half theirs, then by the first source
+    # again, gives every plan the arrays of a fresh MatrixPlan, bit for bit;
+    # it rebuilds its scaled arrays when the scale changes, and only then
+    p = make_params(n, L, M, 1.0, 0.3, rho2=2.0, seed=11)
+    mt = build_design_matrix(p)
+    sources = [_in_gate(p, draw_source(SourceModel(kind, 1.0, 0.7 * (kind == "gauss_markov")),
+                                       n, 11))
+               for kind in SOURCE_KINDS]
+    part = encoder.MatrixPlan(mt)
+    # |s| + reach = 1.25 / scale lies in the next binade
+    scale = encoder._kernel_tol(part, sources[0])[0]
+    lam = encoder._error_bound(part.reach, sources[0])
+    grown = sources[0] * ((1.25 / scale - part.reach) / (lam - part.reach))
+    schedule = sources + [grown, sources[0]]
+    built = []
+    block_sums = encoder._block_sums
+
+    def counted(*args):
+        built.append(args)
+        return block_sums(*args)
+
+    monkeypatch.setattr(encoder, "_block_sums", counted)
+    shared = [_plan_arrays(encoder._Plan(part, s)) for s in schedule]
+    scales = [plan["scale"] for plan in shared]
+    assert scales[-2] == scale / 2 and scales[-1] == scale
+    assert len(built) == 1 + sum(a != b for a, b in zip(scales, scales[1:]))
+    assert len(built) < len(schedule)
+    for source, got in zip(schedule, shared):
+        assert got["px"] is not None
+        _same_plan_arrays(got, _plan_arrays(encoder._Plan(encoder.MatrixPlan(mt), source)))
 
 
 # ---------------------------------------------------------------------------
@@ -806,6 +889,25 @@ def test_sorted_differences_any_finite_floats(a, b):
 # tiles; 64 rows over two fast sections, 3-row tiles
 PROJECTED = [(10, 4, 8, 64, 4 * 64 * 2), (12, 3, 32, 4096, 4 * 1024 * 2),
              (6, 5, 4, 16, 4 * 16 * 3)]
+
+
+@pytest.mark.parametrize("n, L, M, inner_cols, tile_bytes",
+                         PROJECTED + [(8, 3, 4, 4096, 1 << 18)])
+def test_interleaved_matrix_plans_match_oracle(monkeypatch, n, L, M,
+                                               inner_cols, tile_bytes):
+    # two MatrixPlans searched in turn, A, B, A, B, ..., in one thread: each
+    # takes the per-matrix slots back from the other, and every search finds
+    # the oracle's codeword and distortion
+    monkeypatch.setattr(encoder, "_INNER_COLS", inner_cols)
+    _tile_budget(monkeypatch, tile_bytes)
+    p = make_params(n, L, M, 1.0, 0.5, seed=31)
+    parts = [encoder.MatrixPlan(build_design_matrix(replace(p, seed=31 + t)))
+             for t in (0, 1)]
+    rng = _rng(31)
+    for turn in range(6):
+        part = parts[turn % 2]
+        source = _scaled_source(rng, p)
+        assert encode_min_distance(part, source) == encode_oracle(part.matrix, source)
 
 
 def _search_tiles(monkeypatch, mt, source):

@@ -511,6 +511,41 @@ def test_robustness_suite_bands(tiny):
     assert res.within_band["gaussian_iid"] is True  # baseline trivially in band
 
 
+ROBUST_MODELS = [GAUSS, SourceModel("laplace_iid", 1.0),
+                 SourceModel("uniform_iid", 1.0),
+                 SourceModel("gauss_markov", 1.0, 0.7)]
+
+
+@pytest.mark.parametrize("shape", [(12, 3, 4, 0.7, 9), (14, 6, 16, 0.3, 3)])
+def test_robustness_reports_equal_per_model_runs(shape):
+    # the trial-major loop gives every model the report of its own run,
+    # at a shape with no search plan that projects and at one where every
+    # plan does
+    n, L, M, D, trials = shape
+    params = make_params(n, L, M, 1.0, D, seed=3)
+    res = robustness_suite(params, ROBUST_MODELS, trials)
+    assert list(res.reports) == [m.label for m in ROBUST_MODELS]
+    for model in ROBUST_MODELS:
+        assert res.reports[model.label] == run_experiment(params, model, trials)
+
+
+def test_robustness_builds_each_trial_matrix_once(tiny, monkeypatch):
+    # one design matrix per trial, shared by the four models' sources
+    import sparcomp.sim as sim
+    built = []
+
+    def counted(params):
+        built.append(params.seed)
+        return build_design_matrix(params)
+
+    monkeypatch.setattr(sim, "build_design_matrix", counted)
+    robustness_suite(tiny, ROBUST_MODELS, 7, seed=4)
+    assert built == [int(s) for s in _derive_seeds(4, MATRIX_STREAM, range(7))]
+    built.clear()
+    run_experiment(tiny, GAUSS, 5, fresh_matrix=False)
+    assert built == [tiny.seed]
+
+
 def test_robustness_rejects_louder_sources(tiny):
     with pytest.raises(ValueError):
         robustness_suite(tiny, [GAUSS, SourceModel("laplace_iid", 2.0)], 10)
