@@ -25,13 +25,15 @@ the kernel tiles and one rescore:
    inner block of M^k column sums x; the remaining sections form the
    outer ranks, whose residual rows r = s - c * outer are built a chunk
    at a time inside the tile loop, from the outer section sums kept as
-   two gathered factors. The inner block is augmented with the rows
-   c^2 |x|^2 and ones below -2c x, the residual rows with the columns 1
-   and |r|^2 (computed in float64), so one float32 matrix product per
-   tile gives the whole distance |r|^2 - 2c r.x + c^2 |x|^2 of every
-   candidate of the tile, and one contiguous minimum per tile is all the
-   scan needs to decide whether the tile joins the rescore window. Before
-   the cast to float32, every input is scaled by a power of two near
+   two factors rounded to float32: the factors' rows are gathered and
+   subtracted in float32 straight into the product's operand. The inner
+   block is augmented with the rows c^2 |x|^2 and ones below -2c x, the
+   residual rows with the columns 1 and |r|^2 (taken of the float32 r,
+   in float32), so one float32 matrix product per tile gives the whole
+   distance |r|^2 - 2c r.x + c^2 |x|^2 of every candidate of the tile,
+   and one contiguous minimum per tile is all the scan needs to decide
+   whether the tile joins the rescore window. Before the cast to
+   float32, every input is scaled by a power of two near
    1 / Lam, where Lam bounds every codeword error norm; the scaling is
    exact, and float32 then neither overflows nor loses the bound to
    underflow. Tiles are sized to stay in L2 and in the BLAS small-matrix
@@ -130,13 +132,15 @@ _TILE_BYTES = 1 << 18
 # this was tuned on that was 2x faster per candidate for a 229 x 17 x 256
 # tile than the packed, threaded path took for 256 x 17 x 256.
 _TILE_MACS = 10 ** 6
-# Bytes of float64 residual rows built at once. The chunk's arrays are
-# workspace buffers (_aligned_empty), kept from one search to the next:
-# blocks this large, allocated and freed per search, were unmapped and
-# faulted back in by every search in a process whose glibc mmap threshold
-# was still at its initial 128 KiB. Smaller chunks cost 16-3-256 time: its
-# column slices are about 14 wide, so its tiles are as tall as a chunk
-# (64 KiB chunks made that search about 20% slower).
+# Bytes of the float32 tile operand [r, 1, |r|^2] built at once: 2,730
+# residual rows at n = 16. The chunk's arrays are workspace buffers
+# (_aligned_empty), kept from one search to the next: blocks this large,
+# allocated and freed per search, were unmapped and faulted back in by
+# every search in a process whose glibc mmap threshold was still at its
+# initial 128 KiB. Smaller chunks cost 16-3-256 time: its column slices
+# are about 14 wide, so its tiles are as tall as a chunk (64 KiB chunks
+# of float64 rows made that search about 20% slower); two and four times
+# this budget were no faster per search at 16-3-256 and 14-6-16 together.
 _CHUNK_BYTES = 3 << 16
 # Codewords per batch of the exact scorer: bounds its memory to
 # _SCORE_CHUNK * n float64 per design however many ranks it scores.
@@ -207,13 +211,15 @@ def _aligned_empty(slot: str, shape: Tuple[int, ...],
     largest size asked for so far and is kept, so the array is valid only
     until the next request for the same slot in the same thread. The slot
     keeps the buffer's aligned part, so a request reads no address
-    (ctypes.data costs about as much as the rest of the request)."""
+    (ctypes.data costs about as much as the rest of the request), and the
+    array is made over it in one np.ndarray call, half the cost of a
+    slice, a view and a reshape."""
     size = math.prod(shape) * np.dtype(dtype).itemsize
     buf = _WORKSPACE.slots.get(slot)
     if buf is None or len(buf) < size:
         raw = np.empty(size + _ALIGN, dtype=np.uint8)
         buf = _WORKSPACE.slots[slot] = raw[-raw.ctypes.data % _ALIGN:]
-    return buf[:size].view(dtype).reshape(shape)
+    return np.ndarray(shape, dtype, buf)
 
 
 def _ranks(count: int) -> np.ndarray:
@@ -352,31 +358,41 @@ def _kernel_tol(part: MatrixPlan, source: np.ndarray) -> Tuple[float, float]:
     Let u = 2^-24 bound the unit roundoff of every operation, float64
     included, and tau = 2^-126 (the smallest normal float32) the absolute
     error of any float32 operation or cast whose result underflows, with
-    or without flush to zero. To first order in u:
-    - the float64 section sums, scalings and subtractions round L + 2
-      times on the kernel's way to r - c x (the outer terms s - c slow
-      and c fast are formed apart) and L + 1 times in the scorer, each
-      moving an error vector of norm at most Lam' by at most u Lam', and
-      its square by 2 u Lam'^2: 4L + 6;
+    or without flush to zero. The kernel forms r = slow[j] - fast[i] in
+    float32 from the float64 factors (_Plan, _rows), so its path to the
+    error vector r - c x, as the scorer's, is:
+    - float64 section sums and scalings: L + 1 roundings to slow, fast
+      and c x (the outer terms s - c sums and c fast are formed apart);
+    - float32: the casts of slow and of fast, and their subtraction.
+    Each of these L + 4 roundings, and each of the scorer's L + 1, moves
+    an error vector of norm at most Lam' by at most u Lam' (slow and fast
+    sum disjoint parts of Lam', so |slow| + |fast|, and with it |r|, is at
+    most Lam'), and its square by 2 u Lam'^2. To first order in u:
+    - the two paths: 2 (2L + 5) = 4L + 10;
     - the scorer's dot product: n;
-    - |r|^2, computed in float64 and rounded to float32: n + 1;
-    - rounding r and c x to float32 moves the cross term 2c r.x by
-      4 u Lam'^2, and c^2 |x|^2, computed in float64 and rounded to
-      float32, moves by (n + 2) u Lam'^2: n + 6;
+    - |r|^2, taken of the float32 r in float32: n;
+    - rounding c x to float32 moves the cross term 2c r.x by 2 u Lam'^2,
+      and c^2 |x|^2, computed in float64 and rounded to float32, moves by
+      (n + 2) u Lam'^2: n + 4;
     - the length-(n + 2) float32 product sums terms whose magnitudes total
       at most 4 Lam'^2 (2 Lam'^2 for the cross term, Lam'^2 each for
       |r|^2 and c^2 |x|^2): 4 (n + 2).
-    That is (7n + 4L + 21) u Lam'^2. Underflow adds at most tau per
-    float32 cast of the 2n + 2 inputs that reach a kernel value (times a
-    factor below 2, the other factor's bound) and per operation of the
-    product, n multiplications and n + 1 additions: (6n + 5) tau. The
-    returned bound is four times the sum, which covers the higher-order
-    terms and the rounding of Lam and of the rescore limit."""
+    That is (7n + 4L + 22) u Lam'^2. Underflow adds at most tau per
+    float32 cast or operation whose result underflows, times the factor
+    by which its error reaches the kernel value, each below 2:
+    - the 2n casts of the factors and the n subtractions move each entry
+      of r - c x by at most 3 tau, and its square by at most 6 tau: 6n;
+    - the n casts of c x move the cross term by at most 2 tau each: 2n;
+    - the cast of c^2 |x|^2 and the 2n - 1 operations of |r|^2: 2n;
+    - the product's n multiplications and n + 1 additions: 2n + 1.
+    That is (12n + 1) tau. The returned bound is four times the sum, which
+    covers the higher-order terms and the rounding of Lam and of the
+    rescore limit."""
     p = part.params
     mant, exp = math.frexp(_error_bound(part.reach, source))
     u, tau = 2.0 ** -24, 2.0 ** -126
-    tol = 4.0 * ((7 * p.n + 4 * p.L + 21) * u * mant * mant
-                 + (6 * p.n + 5) * tau)
+    tol = 4.0 * ((7 * p.n + 4 * p.L + 22) * u * mant * mant
+                 + (12 * p.n + 1) * tau)
     return math.ldexp(1.0, -exp), tol
 
 
@@ -483,21 +499,26 @@ class MatrixPlan:
         self.rows = p.M ** (p.L - k)
         # kernel values per tile, within _TILE_BYTES of float32 and
         # _TILE_MACS multiply-adds (step rows of the whole inner block), and
-        # residual rows per chunk built at once, within _CHUNK_BYTES of float64
+        # residual rows per chunk built at once, within _CHUNK_BYTES of the
+        # float32 tile operand [r, 1, |r|^2]
         self.cap = min(_TILE_BYTES // 4, _TILE_MACS // (p.n + 2))
         self.step = max(1, self.cap // self.width)
-        self.chunk = max(1, _CHUNK_BYTES // (8 * p.n))
+        self.chunk = max(1, _CHUNK_BYTES // (4 * (p.n + 2)))
         self.projects = self.rows >= _PRUNE_TILES * self.step
 
     def scaled(self, scale: float) -> Tuple[np.ndarray, ...]:
-        """(fast, sums, xt, aug) for the kernel scale: the fast factor and
-        the last section's sums, one row per rank (so each residual row is
-        contiguous), and the inner block xt, (n, width), each times
-        c * scale in float64; and the float32 augmented block aug, -2c x
-        above c^2 |x|^2 and ones, so that the row [r, 1, |r|^2] times it
-        gives |r|^2 - 2c r.x + c^2 |x|^2: a view of the first width columns
-        of a padded block (_padded). All four are in rank order, in the
-        per-matrix slots "fast", "sums", "inner" and "aug_ranked"
+        """(fast, fast64, sums, xt, aug) for the kernel scale: the fast
+        factor and the last section's sums, one row per rank (so each
+        residual row is contiguous), and the inner block xt, (n, width),
+        each times c * scale in float64. fast holds the fast factor's
+        rows rounded to float32 and padded with two zeros, [c fast, 0, 0],
+        so that _rows subtracts whole operand rows; only a part that
+        projects also keeps the factor in float64 (fast64, else None).
+        aug is the float32 augmented block, -2c x above c^2 |x|^2 and
+        ones, so that the row [r, 1, |r|^2] times it gives
+        |r|^2 - 2c r.x + c^2 |x|^2: a view of the first width columns of a
+        padded block (_padded). All are in rank order, in the per-matrix
+        slots "fast", "fast64", "sums", "inner" and "aug_ranked"
         (_aligned_empty; "inner_part" is scratch of _block_sums)."""
         held = _WORKSPACE.held
         if held is not None and held[0] is self and held[1] == scale:
@@ -509,8 +530,13 @@ class MatrixPlan:
         xt = _block_sums(self.matrix.entries, M, k)
         xt *= cs
         fast = _column_sums(columns, M, _ranks(M ** (h - k)), k, h)
-        fast = np.multiply(fast, cs, out=_aligned_empty("fast", fast.shape,
-                                                        np.float64))
+        fast64 = None
+        if self.projects:
+            fast64 = np.multiply(fast, cs, out=_aligned_empty(
+                "fast64", fast.shape, np.float64))
+        fast32 = _aligned_empty("fast", (len(fast), n + 2))
+        np.multiply(fast, cs, out=fast32[:, :n])
+        fast32[:, n:] = 0.0
         sums = _column_sums(columns, M, _ranks(M ** (L - h)), h, L)
         sums = np.multiply(sums, cs, out=_aligned_empty("sums", sums.shape,
                                                         np.float64))
@@ -519,8 +545,9 @@ class MatrixPlan:
         np.multiply(xt, -2.0, out=aug[:n])
         aug[n] = np.einsum("ij,ij->j", xt, xt)
         aug[n + 1] = 1.0
-        _WORKSPACE.held = (self, scale, (fast, sums, xt, aug))
-        return fast, sums, xt, aug
+        arrays = fast32, fast64, sums, xt, aug
+        _WORKSPACE.held = (self, scale, arrays)
+        return arrays
 
 
 class _Plan:
@@ -531,7 +558,13 @@ class _Plan:
 
     fast is the part's; slow[j] = s - c (sums over the last section)[j],
     so outer rank j * len(fast) + i has the residual row
-    r = slow[j] - c fast[i], all scaled. _rows builds the rows from them.
+    r = slow[j] - c fast[i], all scaled. Both factors are computed in
+    float64 and kept rounded to float32, as operand rows: slow as
+    [slow, 1, 0] and the part's fast as [c fast, 0, 0]. _rows gathers
+    the slow rows straight into lhs, one chunk of the product's operand,
+    and the fast rows into gathered, and one float32 subtraction leaves
+    [r, 1, 0]. Only a projecting plan keeps the factors in float64 too,
+    for the projections (slots "slow64" and the part's "fast64").
     The part keeps its scaled arrays for one scale exponent and rebuilds
     them when a source brings another (MatrixPlan.scaled), so every array
     of a plan is the one a fresh part gives, bit for bit, and _kernel_tol's
@@ -551,11 +584,11 @@ class _Plan:
     order. A smaller plan keeps both in rank order (perm and order are
     the identity, _ranks), px and pr are None, and aug is the part's.
 
-    slow, order, pr, perm and px, the augmented block and the buffers of
-    _tiles are views of the thread's workspace (_aligned_empty), and the
-    next search reuses them; the part's arrays are too (MatrixPlan). So a
-    plan's arrays are valid until the next plan is built in the same
-    thread."""
+    slow, lhs, gathered, order, pr, perm and px, the augmented block and
+    the tile buffer of _tiles are views of the thread's workspace
+    (_aligned_empty), and the next search reuses them; the part's arrays
+    are too (MatrixPlan). So a plan's arrays are valid until the next
+    plan is built in the same thread."""
 
     def __init__(self, matrix: Union[DesignMatrix, MatrixPlan],
                  source: np.ndarray):
@@ -564,20 +597,27 @@ class _Plan:
         self.width, self.rows = part.width, part.rows
         self.cap, self.step, self.chunk = part.cap, part.step, part.chunk
         self.scale, self.tol = _kernel_tol(part, source)
-        self.fast, sums, xt, aug = part.scaled(self.scale)
-        self.slow = np.subtract(source * self.scale, sums,
-                                out=_aligned_empty("slow", sums.shape, np.float64))
+        self.fast, fast64, sums, xt, aug = part.scaled(self.scale)
+        shifted = source * self.scale
+        n, count = len(source), min(self.chunk, self.rows)
+        self.slow = _aligned_empty("slow", (len(sums), n + 2))
+        np.subtract(shifted, sums, out=self.slow[:, :n])
+        self.slow[:, n:] = (1.0, 0.0)
+        self.lhs = _aligned_empty("lhs", (count, n + 2))
+        self.gathered = _aligned_empty("gathered", (count, n + 2))
         if not part.projects:
             self.perm, self.order = _ranks(self.width), _ranks(self.rows)
             self.px = self.pr = None
             self.aug = aug
             return
+        slow64 = np.subtract(shifted, sums, out=_aligned_empty(
+            "slow64", sums.shape, np.float64))
         u = _unit(source)
         # einsum, not a BLAS product: no BLAS thread wakes per search
         self.perm, self.px = _sorted_differences(
             np.einsum("i,ij->j", u, xt), np.zeros(1), "cols")
         self.order, self.pr = _sorted_differences(
-            self.slow @ u, self.fast @ u, "rows")
+            slow64 @ u, fast64 @ u, "rows")
         # row by row, so mode "clip" (a no-op for these indices) lets np.take
         # write straight into the row; a take along axis 1 would buffer the
         # whole block
@@ -589,19 +629,20 @@ class _Plan:
 
 def _rows(plan: _Plan, outer: np.ndarray) -> np.ndarray:
     """The float32 rows [r, 1, |r|^2] of the given outer ranks' residual
-    rows r, computed in float64, in the workspace slot "lhs"
-    (_aligned_empty). Mode "clip" (a no-op for these indices) lets np.take
-    write into its out array unbuffered."""
-    j, i = np.divmod(outer, len(plan.fast))
-    n = plan.fast.shape[1]
-    resid = np.take(plan.slow, j, axis=0, mode="clip",
-                    out=_aligned_empty("resid", (len(outer), n), np.float64))
-    resid -= np.take(plan.fast, i, axis=0, mode="clip",
-                     out=_aligned_empty("resid_fast", resid.shape, np.float64))
-    lhs = _aligned_empty("lhs", (len(outer), n + 2))
-    lhs[:, :n] = resid
-    lhs[:, n] = 1.0
-    lhs[:, n + 1] = np.einsum("ij,ij->i", resid, resid)
+    rows r = slow[j] - fast[i], a view of the plan's lhs. The slow rows
+    [slow, 1, 0] are gathered straight into lhs and the fast rows
+    [fast, 0, 0] into the plan's gather rows (mode "clip", a no-op for
+    these indices, lets np.take write into its out array unbuffered), and
+    one contiguous float32 subtraction leaves [r, 1, 0]; |r|^2 is then
+    taken of the float32 r. Floor division and a product find j and i
+    (np.divmod takes three times as long)."""
+    j = outer // len(plan.fast)
+    i = outer - j * len(plan.fast)
+    lhs = np.take(plan.slow, j, axis=0, mode="clip", out=plan.lhs[:len(outer)])
+    lhs -= np.take(plan.fast, i, axis=0, mode="clip",
+                   out=plan.gathered[:len(outer)])
+    n = lhs.shape[1] - 2
+    np.einsum("ij,ij->i", lhs[:, :n], lhs[:, :n], out=lhs[:, n + 1])
     return lhs
 
 
@@ -626,35 +667,43 @@ def _tiles(plan: _Plan, radius=lambda: math.inf):
       in [a - rho, b + rho), at most a cap's worth of candidates.
     So no candidate is multiplied twice, and every candidate left out had
     |pr - px| >= rho, up to the rounding of a - rho and b + rho, for the
-    rho of the moment it was left out."""
-    width, px, pr = plan.width, plan.px, plan.pr
-    buf = _aligned_empty("tile", (min(plan.rows * width, max(plan.cap, width)),))
+    rho of the moment it was left out.
+
+    The loop's own work is a few scalar calls per tile: it reads the
+    plan's attributes and each chunk's band of pr once, and finds a
+    slice's two ends with one ndarray.searchsorted call (the method; the
+    np.searchsorted function costs about three times as much per call)."""
+    width, step, cap, chunk = plan.width, plan.step, plan.cap, plan.chunk
+    order, aug, px, pr = plan.order, plan.aug, plan.px, plan.pr
+    buf = _aligned_empty("tile", (min(plan.rows * width, max(cap, width)),))
     start, stop = 0, plan.rows
     while start < stop:
-        outer = plan.order[start:min(start + plan.chunk, stop)]
+        outer = order[start:min(start + chunk, stop)]
         lhs = _rows(plan, outer)
-        at = 0
-        while at < len(lhs):
-            rows, lo, hi = min(plan.step, len(lhs) - at), 0, width
+        count, at = len(outer), 0
+        if px is not None:
+            band = pr[start:start + count]
+        while at < count:
+            rows, lo, hi = min(step, count - at), 0, width
             if px is not None:
                 rho = radius()
-                lo, hi = np.searchsorted(px, (pr[start + at] - rho,
-                                              pr[start + at] + rho))
-                rows = min(len(lhs) - at, max(1, plan.cap // max(1, hi - lo)))
-                hi = np.searchsorted(px, pr[start + at + rows - 1] + rho)
-                if rows * (hi - lo) > plan.cap:
-                    rows = max(1, plan.cap // (hi - lo))
-                    hi = np.searchsorted(px, pr[start + at + rows - 1] + rho)
+                first = band[at]
+                lo, hi = px.searchsorted((first - rho, first + rho)).tolist()
+                rows = min(count - at, max(1, cap // max(1, hi - lo)))
+                hi = int(px.searchsorted(band[at + rows - 1] + rho))
+                if rows * (hi - lo) > cap:
+                    rows = max(1, cap // (hi - lo))
+                    hi = int(px.searchsorted(band[at + rows - 1] + rho))
             if hi > lo:
                 tile = buf[:rows * (hi - lo)].reshape(rows, hi - lo)
-                np.matmul(lhs[at:at + rows], plan.aug[:, lo:hi], out=tile)
-                yield outer[at:at + rows], int(lo), tile
+                np.matmul(lhs[at:at + rows], aug[:, lo:hi], out=tile)
+                yield outer[at:at + rows], lo, tile
             at += rows
-        start += len(outer)
+        start += count
         if px is not None:
             rho = radius()
-            start = max(start, int(np.searchsorted(pr, px[0] - rho)))
-            stop = int(np.searchsorted(pr, px[-1] + rho, side="right"))
+            start = max(start, int(pr.searchsorted(px[0] - rho)))
+            stop = int(pr.searchsorted(px[-1] + rho, side="right"))
 
 
 def _rescored(params: SparcParams, columns: np.ndarray, source: np.ndarray,
@@ -695,10 +744,12 @@ def _search_min(matrix: Union[DesignMatrix, MatrixPlan],
     [px[0] - rho, px[-1] + rho] and so more than rho from every px. Each
     candidate q left out has a scaled exact score E(q) strictly above
     that of a multiplied candidate:
-    - Let v = slow[j] - fast[i] - c x, in exact arithmetic on the plan's
-      float64 values. As in _kernel_tol, the plan's path to v and the
-      scorer's codeword round L + 2 and L + 1 times and the scorer's dot
-      product n times, so |E(q) - |v|^2| <= (4L + 6 + n) eps Lam'^2 < tol.
+    - Let v = slow[j] - fast[i] - c x, in exact arithmetic on the float64
+      factors from which the plan projects (before their rounding to
+      float32) and c x. As in _kernel_tol, their path to v and the
+      scorer's codeword round at most L + 2 and L + 1 times and the
+      scorer's dot product n times, so
+      |E(q) - |v|^2| <= (4L + 6 + n) eps Lam'^2 < tol.
     - px = u.(c x), u.slow[j] and u.fast[i] are length-n dot products of
       u, |u| <= 1 + (n + 3) eps, with vectors of norm at most Lam' < 1, so
       each errs by at most n eps to first order, and pr = u.slow[j] -

@@ -38,8 +38,8 @@ def _rng(seed):
 
 def _tile_budget(mp, nbytes):
     """Set the tile budget and the residual chunk budget together, so the
-    plan's chunk is nbytes of float64 rows, as the small-shape tests below
-    are laid out."""
+    plan's chunk is nbytes of float32 tile operand rows [r, 1, |r|^2], as
+    the small-shape tests below are laid out."""
     mp.setattr(encoder, "_TILE_BYTES", nbytes)
     mp.setattr(encoder, "_CHUNK_BYTES", nbytes)
 
@@ -532,18 +532,19 @@ def _kernel_values(plan):
 
 @pytest.mark.parametrize("n, L, M, inner_cols, tile_rows", [
     (4, 1, 64, 4096, 1),     # L = 1, so k == L: one zero outer row
-    (6, 2, 16, 4096, 3),     # k == L - 1: chunks of 4 one-row blocks, tiles 3 + 1
+    (6, 2, 16, 4096, 3),     # k == L - 1: chunks of 6 one-row blocks, tiles 3 + 3
     (6, 3, 16, 256, 3),      # k == L - 1: one 16-row chunk, six tiles
-    (6, 4, 4, 4, 9),         # 3 outer sections: 3-row chunks across 16-row blocks
-    (3, 4, 16, 16, 2),       # 3 outer sections, 256 rows: projected, 5-row chunks
-    (3, 4, 4, 4, 48),        # 3 outer sections: chunks of two 16-row blocks
+    (6, 4, 4, 4, 9),         # 3 outer sections: 4-row chunks in 16-row blocks
+    (3, 4, 16, 16, 2),       # 3 outer sections, 256 rows: projected, 6-row chunks
+    (3, 4, 4, 4, 48),        # 3 outer sections: 38-row chunks across 16-row blocks
 ])
 @pytest.mark.parametrize("bound", ["bytes", "macs"])
 def test_streamed_tiles_match_oracle(monkeypatch, n, L, M, inner_cols,
                                      tile_rows, bound):
     # the tile rows are set either by the bytes of kernel values or by
     # the multiply-adds of the tile's product; the comments above give
-    # the chunks of the bytes case, the macs case has chunks 8 times larger
+    # the chunks of the bytes case, the macs case has a chunk budget 8
+    # times larger
     monkeypatch.setattr(encoder, "_INNER_COLS", inner_cols)
     width = M ** max(1, min(L - 1, int(np.log(inner_cols) / np.log(M))))
     _tile_budget(monkeypatch, 4 * width * tile_rows)
@@ -551,7 +552,7 @@ def test_streamed_tiles_match_oracle(monkeypatch, n, L, M, inner_cols,
         monkeypatch.setattr(encoder, "_TILE_MACS", (n + 2) * width * tile_rows)
         _tile_budget(monkeypatch, 4 * width * tile_rows * 8)
     fast_rows = M ** (L - 1) // width if L > 1 else 1
-    chunk = encoder._CHUNK_BYTES // (8 * n)
+    chunk = encoder._CHUNK_BYTES // (4 * (n + 2))
     rng = _rng(n * 100 + L)
     for trial in range(12):
         p = make_params(n, L, M, 1.0, 0.5, seed=700 + trial)
@@ -576,20 +577,63 @@ def test_streamed_tiles_match_oracle(monkeypatch, n, L, M, inner_cols,
         assert encode_min_distance(mt, source) == encode_oracle(mt, source)
 
 
+def _kernel_error(mt, source):
+    """The largest |kernel value - scale^2 _exact_sq| over every candidate
+    of the search's plan, in units of its bound tol."""
+    plan = encoder._Plan(mt, source)
+    kernel = _kernel_values(plan)
+    exact = encoder._exact_sq(mt.params, mt.entries.T, source,
+                              np.arange(mt.params.n_codewords))
+    exact = exact.reshape(plan.rows, plan.width) * plan.scale ** 2
+    return float(np.abs(kernel - exact).max()) / plan.tol
+
+
 @pytest.mark.parametrize("n, L, M", [(8, 3, 4), (6, 3, 16), (14, 2, 64),
                                      (12, 3, 16)])
 def test_kernel_error_within_tolerance(n, L, M):
+    # normal sources, and the same sources scaled just under the rho2 gate,
+    # the largest the search takes: there |s| outweighs the design's reach
+    # the most, and the error vectors come closest to the bound Lam
     rng = _rng(n + L + M)
     for trial in range(5):
         p = make_params(n, L, M, 1.0, 0.5, seed=trial)
         mt = build_design_matrix(p)
         source = rng.normal(size=n)
+        assert _kernel_error(mt, source) <= 1.0
+        source *= np.sqrt(p.rho2 * (1.0 - 2.0 ** -20) / sample_power(source))
+        assert encoder._gate(p, source) is None
+        assert _kernel_error(mt, source) <= 1.0
+
+
+def test_kernel_error_within_tolerance_projected(monkeypatch):
+    # a projecting plan: rows in projection order, columns in perm order
+    monkeypatch.setattr(encoder, "_PRUNE_TILES", 0)
+    rng = _rng(1032)
+    for trial in range(5):
+        p = make_params(10, 3, 32, 1.0, 0.5, seed=trial)
+        mt = build_design_matrix(p)
+        source = rng.normal(size=p.n)
+        assert encoder._Plan(mt, source).px is not None
+        assert _kernel_error(mt, source) <= 1.0
+
+
+def test_kernel_error_within_tolerance_cancelling_rows(monkeypatch):
+    # a source that is the outer part c (a_2i + a_3j) of a codeword, up to a
+    # relative 2^-30, makes slow[j] and fast[i] cancel: the float32 row r is
+    # formed from two factors far larger than itself
+    monkeypatch.setattr(encoder, "_INNER_COLS", 64)
+    rng = _rng(848)
+    for trial in range(5):
+        p = make_params(8, 4, 8, 1.0, 0.5, seed=trial)
+        mt = build_design_matrix(p)
+        i, j = rng.integers(0, p.M, size=2)
+        outer = mt.entries[:, 2 * p.M + i] + mt.entries[:, 3 * p.M + j]
+        source = p.c * outer * (1.0 + 2.0 ** -30 * rng.normal(size=p.n))
         plan = encoder._Plan(mt, source)
-        kernel = _kernel_values(plan)
-        exact = encoder._exact_sq(mt.params, mt.entries.T, source,
-                                  np.arange(p.n_codewords))
-        exact = exact.reshape(plan.rows, plan.width) * plan.scale ** 2
-        assert np.abs(kernel - exact).max() <= plan.tol
+        assert (len(plan.slow), len(plan.fast)) == (p.M, p.M)
+        r = (plan.slow[j] - plan.fast[i])[:p.n]
+        assert np.abs(r).max() < 2.0 ** -20 * np.abs(plan.fast[i]).max()
+        assert _kernel_error(mt, source) <= 1.0
 
 
 def test_kernel_buffers_start_on_a_cache_line():
@@ -738,6 +782,48 @@ def test_block_sums_equal_the_gathered_sums(k):
     got = encoder._block_sums(entries, p.M, k)
     assert got.shape == want.shape
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("n, L, M, D, rho2", [(14, 6, 16, 0.3, None),
+                                              (16, 3, 256, 0.278193, 2.0)])
+def test_projected_search_identical_at_any_chunk_size(monkeypatch, n, L, M,
+                                                       D, rho2):
+    # seeded projecting searches find the same codeword and distortion
+    # whether their rows are built one at a time, a default chunk or four
+    # at a time; and a warm search in a fresh thread leaves its rows only
+    # in float32 slots, one chunk of the tile operand and one of gathered
+    # fast rows
+    default = encoder._CHUNK_BYTES
+    draws = []
+    for trial in range(2):
+        p = make_params(n, L, M, 1.0, D, rho2=rho2, seed=60 + trial)
+        draws.append((build_design_matrix(p), _in_gate(
+            p, draw_source(SourceModel("gaussian_iid", 1.0), n, 60 + trial))))
+    results = []
+    for nbytes in (4 * (n + 2), default, 4 * default):
+        monkeypatch.setattr(encoder, "_CHUNK_BYTES", nbytes)
+        chunk = encoder.MatrixPlan(draws[0][0]).chunk
+        assert chunk == (1 if nbytes < default else nbytes // (4 * (n + 2)))
+        results.append([encode_min_distance(mt, s) for mt, s in draws])
+    assert all(r.status == STATUS_OK for r in results[0])
+    assert results[1] == results[0] == results[2]
+    monkeypatch.setattr(encoder, "_CHUNK_BYTES", default)
+    assert all(encoder._Plan(mt, s).px is not None for mt, s in draws)
+    slots = {}
+
+    def warm():
+        for mt, s in draws:
+            encode_min_distance(mt, s)
+        slots.update(encoder._WORKSPACE.slots)
+
+    thread = threading.Thread(target=warm)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and slots
+    assert not {"resid", "resid_fast"} & set(slots)
+    chunk = default // (4 * (n + 2))
+    assert len(slots["lhs"]) <= 4 * chunk * (n + 2) + encoder._ALIGN
+    assert len(slots["gathered"]) <= 4 * chunk * (n + 2) + encoder._ALIGN
 
 
 @pytest.mark.parametrize("n, L, M", [(14, 6, 16), (16, 3, 256)])
